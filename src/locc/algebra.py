@@ -154,12 +154,19 @@ def _closed_under_mult(basis: np.ndarray) -> bool:
 
 
 def build_operator_system(unitaries, tol: float = DEFAULT_TOL) -> OperatorSystem:
-    """The operator system ``span{U_i^* U_j : i != j} + C*I``."""
-    return _quotient_system(require_unitaries(unitaries, tol))
+    """The operator system ``span{U_i^* U_j : i != j} + C*I``.
+
+    Every criterion on unitaries runs on this system, so this is where a
+    family is validated: its members must be unitary and its states mutually
+    orthogonal (``NotOrthogonalStates`` otherwise).
+    """
+    us = require_unitaries(unitaries, tol)
+    _require_orthogonal(us, tol)
+    return _quotient_system(us)
 
 
 def _quotient_system(us: np.ndarray) -> OperatorSystem:
-    """:func:`build_operator_system` on a stack that is already validated."""
+    """Span of the quotients of a validated, mutually orthogonal stack."""
     # Reduce the up-to-r*(r-1) pairwise quotients incrementally instead of
     # stacking them all: per anchor a, one batched product U_a^* U_b (b > a)
     # together with its adjoints U_b^* U_a; keep only rows that grow the span,
@@ -441,13 +448,15 @@ def _require_orthogonal(us: np.ndarray, tol: float) -> None:
         )
 
 
-def decide_by_algebra(
-    unitaries, tol: float = DEFAULT_TOL, seed: int = 0
-) -> AlgebraVerdict:
-    """Decide one-way distinguishability of ``(I (x) U_i)|Phi>`` states.
+def decide_by_algebra(unitaries, tol: float = DEFAULT_TOL, seed: int = 0) -> AlgebraVerdict:
+    """Decide one-way distinguishability of ``(I (x) U_i)|Phi>`` states."""
+    return decide_system(build_operator_system(unitaries, tol), tol, seed)
 
-    Requires the states to be mutually orthogonal, i.e. ``tr(U_j^* U_i) = 0``
-    for ``i != j`` (the overlap of the entangled states is ``tr/d``).
+
+def decide_system(
+    system: OperatorSystem, tol: float = DEFAULT_TOL, seed: int = 0
+) -> AlgebraVerdict:
+    """The algebra criterion on the operator system ``S0`` of a family.
 
     When ``S0`` is multiplicatively closed the answer is exact: the states
     are distinguishable iff ``S0`` admits a separating vector, and the
@@ -456,9 +465,6 @@ def decide_by_algebra(
     ``CRITERION_NOT_APPLICABLE`` and the decomposition of the multiplicative
     closure is attached for diagnosis.
     """
-    us = require_unitaries(unitaries, tol)
-    _require_orthogonal(us, tol)
-    system = _quotient_system(us)
     if not system.closed_under_mult:
         closure = algebra_closure(system)
         return AlgebraVerdict(
@@ -535,22 +541,24 @@ def permutation_matrix(image) -> np.ndarray:
 def check_simultaneous_schmidt(unitaries, tol: float = DEFAULT_TOL) -> bool:
     """True iff the family has a simultaneous Schmidt decomposition.
 
-    For unitaries this happens exactly when all quotients ``U_i^* U_j``
-    commute -- i.e. the multiplicative closure of ``S0`` is abelian -- in
-    which case the corresponding maximally entangled states are one-way
-    distinguishable.  Tested as vanishing pairwise commutators of an
-    orthonormal basis of ``S0``.
-
-    Like :func:`decide_by_algebra` this requires mutually orthogonal
-    states and raises ``NotOrthogonalStates`` otherwise; a commuting but
-    overlapping family would otherwise be misreported as distinguishable.
+    Overlapping states raise ``NotOrthogonalStates`` rather than being
+    misreported as distinguishable.
     """
-    us = require_unitaries(unitaries, tol)
-    _require_orthogonal(us, tol)
-    basis = _quotient_system(us).basis
-    for a in range(basis.shape[0]):
-        for b in range(a + 1, basis.shape[0]):
-            comm = basis[a] @ basis[b] - basis[b] @ basis[a]
-            if np.max(np.abs(comm)) > tol:
-                return False
+    return is_abelian(build_operator_system(unitaries, tol), tol)
+
+
+def is_abelian(system: OperatorSystem, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the elements of ``system`` pairwise commute.
+
+    For the ``S0`` of unitaries this happens exactly when all quotients
+    ``U_i^* U_j`` commute -- i.e. the multiplicative closure of ``S0`` is
+    abelian -- in which case the family has a simultaneous Schmidt
+    decomposition and its states are one-way distinguishable.  Tested as
+    vanishing pairwise commutators of the orthonormal basis.
+    """
+    basis = system.basis
+    for a in range(basis.shape[0] - 1):
+        comm = basis[a] @ basis[a + 1 :] - basis[a + 1 :] @ basis[a]
+        if np.abs(comm).max() > tol:
+            return False
     return True

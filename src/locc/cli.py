@@ -28,14 +28,14 @@ from .algebra import (
     algebra_closure,
     build_operator_system,
     check_permutation_states,
-    check_simultaneous_schmidt,
-    decide_by_algebra,
+    decide_system,
     decompose,
     find_separating_vector,
+    is_abelian,
     is_separating,
 )
 from .core import DEFAULT_TOL, Decision
-from .errors import BadParams, LoccError
+from .errors import BadParams, LoccError, NotOrthogonalStates
 from .graphs import complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
 from .oracles import DEFAULT_SEED, simulate_one_way_protocol
 
@@ -110,19 +110,18 @@ def _vector_certificate(vec) -> dict:
     return {"kind": "separating_vector", "vector": io.ket_json(vec)}
 
 
-def _run_decide_criterion(name: str, sfile: io.StateSetFile, tol: float, seed: int):
+def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float, seed: int):
     """Run one criterion; return (decision | None, certificate, detail)."""
     if name == "permutation":
-        ok = check_permutation_states(sfile.perms)
-        if ok:
-            d = len(sfile.perms[0])
-            return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
-        return Decision.INDISTINGUISHABLE, None, "two permutations agree at some point"
+        if not check_permutation_states(sfile.perms):
+            raise NotOrthogonalStates("two permutations agree at some point, so their states overlap")
+        d = len(sfile.perms[0])
+        return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
 
     if name == "schmidt":
-        if not check_simultaneous_schmidt(sfile.unitaries, tol):
+        if not is_abelian(system, tol):
             return None, None, "no simultaneous Schmidt decomposition"
-        closure = algebra_closure(build_operator_system(sfile.unitaries, tol))
+        closure = system if system.closed_under_mult else algebra_closure(system)
         cert = find_separating_vector(closure, seed=seed, tol=tol)
         return (
             Decision.DISTINGUISHABLE,
@@ -131,7 +130,7 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, tol: float, seed: i
         )
 
     if name == "algebra":
-        verdict = decide_by_algebra(sfile.unitaries, tol=tol, seed=seed)
+        verdict = decide_system(system, tol=tol, seed=seed)
         blocks = verdict.decomposition.blocks
         if verdict.decision is Decision.CRITERION_NOT_APPLICABLE:
             return None, None, f"operator system is not multiplicatively closed (closure blocks: {blocks})"
@@ -168,12 +167,9 @@ def cmd_decide(args) -> int:
 
     if args.criterion == "auto":
         if sfile.is_product:
-            if sfile.dA != 2:
-                chain = []
-            else:
-                chain = ["qubit-sender"]
+            chain = ["qubit-sender"] if sfile.dA == 2 else []
         elif sfile.kind == "permutations":
-            chain = ["permutation", "schmidt", "algebra"]
+            chain = ["permutation"]  # it always reaches a verdict
         else:
             chain = ["schmidt", "algebra"]
     else:
@@ -186,6 +182,8 @@ def cmd_decide(args) -> int:
             raise BadParams("the permutation criterion needs a permutations state set")
 
     start = time.perf_counter()
+    # one operator system, hence one validation, for both criteria on unitaries
+    system = build_operator_system(sfile.unitaries, tol) if {"schmidt", "algebra"} & set(chain) else None
     decision, certificate, detail, used = (
         Decision.CRITERION_NOT_APPLICABLE,
         None,
@@ -193,7 +191,7 @@ def cmd_decide(args) -> int:
         None,
     )
     for name in chain:
-        got, cert, note = _run_decide_criterion(name, sfile, tol, args.seed)
+        got, cert, note = _run_decide_criterion(name, sfile, system, tol, args.seed)
         if got is not None:
             decision, certificate, detail, used = got, cert, note, name
             break
@@ -273,7 +271,7 @@ def _verify(sfile: io.StateSetFile, pfile: io.ProtocolFile, tol: float) -> tuple
                 return False, "the vector does not separate the operator system"
             if system.closed_under_mult:
                 return True, "separating vector for a multiplicatively closed system"
-            if check_simultaneous_schmidt(us, tol):
+            if is_abelian(system, tol):
                 return True, "separating vector for an abelian closure (simultaneous Schmidt)"
             return False, "system not closed and not abelian: the vector proves nothing"
 

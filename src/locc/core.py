@@ -47,15 +47,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian inner product ``<u|v>`` (conjugate-linear in ``u``)."""
-    u = np.asarray(u).ravel()
-    v = np.asarray(v).ravel()
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"vectors of length {u.size} and {v.size}")
-    return complex(np.vdot(u, v))
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two operators."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -122,13 +113,8 @@ def require_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
     return stack
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - adjoint(m))) <= tol)
-
-
 # ---------------------------------------------------------------------------
-# maximally entangled states and the map to the diagonal
+# maximally entangled states
 # ---------------------------------------------------------------------------
 
 
@@ -154,16 +140,6 @@ def max_entangled(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     d = u.shape[0]
     # row-major composite index i*d + j pairs |i> with U|i> = sum_j U[j,i]|j>
     return (u.T / np.sqrt(d)).ravel()
-
-
-def map_to_diagonal(m: np.ndarray) -> np.ndarray:
-    """Project a square matrix onto its diagonal (off-diagonal entries -> 0).
-
-    This is the conditional expectation onto the diagonal algebra; it is
-    idempotent and trace preserving.
-    """
-    m = require_square(m)
-    return np.diag(np.diag(m))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +206,8 @@ class WeightedStates:
         weights = tuple(float(w) for w in weights)
         if len(states) != len(weights):
             raise DimensionMismatch("states and weights must have equal length")
+        if any(s.size != states[0].size for s in states):
+            raise DimensionMismatch("states must share one dimension")
         if any(w <= 0 for w in weights):
             raise InvalidPovm("weights must be positive")
         object.__setattr__(self, "states", states)

@@ -21,6 +21,7 @@ Permutations are in image form (``perm[i]`` is where ``i`` goes); the matrix
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -48,15 +49,23 @@ def _fail(where: str, msg: str):
 
 
 def as_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) for x in obj)
-    ):
-        return complex(obj[0], obj[1])
-    _fail(where, f"expected [re, im], got {obj!r}")
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else (obj,)
+    for x in parts:
+        if not isinstance(x, (int, float)):
+            _fail(where, f"expected [re, im], got {obj!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer beyond the float range
+        z = complex("inf")
+    if not cmath.isfinite(z):  # the JSON literals NaN and Infinity, or 1e400
+        _fail(where, f"{obj!r} is not a finite number")
+    return z
+
+
+def as_index(obj, where: str) -> int:
+    if type(obj) is not int:  # JSON true/false parse as bool, a subclass of int
+        _fail(where, f"expected an integer, got {obj!r}")
+    return obj
 
 
 def as_ket(obj, where: str) -> np.ndarray:
@@ -222,15 +231,21 @@ def load_graph_file(path: str) -> Graph:
     obj = _load(path)
     if obj.get("kind") != "graph":
         _fail(path, 'expected "kind": "graph"')
+    return _as_graph(obj, path)
+
+
+def _as_graph(obj: dict, where: str) -> Graph:
     n = obj.get("vertices")
     edges = obj.get("edges", [])
     if not isinstance(n, int) or n < 0:
-        _fail(path, '"vertices" must be a non-negative integer')
+        _fail(where, '"vertices" must be a non-negative integer')
     if not isinstance(edges, list) or any(
         not isinstance(e, list) or len(e) != 2 for e in edges
     ):
-        _fail(path, '"edges" must be an array of [u, v] pairs')
-    return Graph.from_edges(n, [(int(u), int(v)) for u, v in edges])
+        _fail(where, '"edges" must be an array of [u, v] pairs')
+    return Graph.from_edges(
+        n, [[as_index(x, f"{where}: edges[{i}]") for x in e] for i, e in enumerate(edges)]
+    )
 
 
 def graph_json(g: Graph) -> dict:
@@ -305,7 +320,8 @@ def load_protocol_file(path: str) -> ProtocolFile:
             if not isinstance(row, list) or len(row) != 3:
                 _fail(path, f"outcome_map[{i}] must be [k, j, index-or-null]")
             k, j, t = row
-            mapping[(int(k), int(j))] = None if t is None else int(t)
+            where = f"{path}: outcome_map[{i}]"
+            mapping[(as_index(k, where), as_index(j, where))] = None if t is None else as_index(t, where)
         return ProtocolFile(kind=kind, protocol=OneWayProtocol(a_els, b_els, mapping))
 
     # product_protocol
@@ -314,14 +330,10 @@ def load_protocol_file(path: str) -> ProtocolFile:
     povm_obj = obj.get("povm")
     if not isinstance(graph_obj, dict):
         _fail(path, '"graph" must be an object')
-    n = graph_obj.get("vertices")
-    edges = graph_obj.get("edges", [])
-    if not isinstance(n, int) or n < 0 or not isinstance(edges, list):
-        _fail(path, '"graph" needs integer "vertices" and an "edges" array')
-    graph = Graph.from_edges(n, [(int(u), int(v)) for u, v in edges])
-    if not isinstance(cover_obj, list) or not cover_obj:
+    graph = _as_graph(graph_obj, f"{path}: graph")
+    if not isinstance(cover_obj, list) or not cover_obj or any(not isinstance(p, list) for p in cover_obj):
         _fail(path, '"cover" must be a non-empty array of vertex arrays')
-    cover = CliqueCover([[int(v) for v in part] for part in cover_obj])
+    cover = CliqueCover([[as_index(v, f"{path}: cover[{i}]") for v in p] for i, p in enumerate(cover_obj)])
     if not isinstance(povm_obj, list) or not povm_obj:
         _fail(path, '"povm" must be a non-empty array of matrices')
     povm = Povm([as_matrix(m, f"{path}: povm[{i}]") for i, m in enumerate(povm_obj)])

@@ -11,6 +11,7 @@ from locc.algebra import (
     decompose,
     find_separating_vector,
     has_separating_vector,
+    is_abelian,
     is_separating,
     permutation_matrix,
 )
@@ -223,6 +224,15 @@ def test_check_simultaneous_schmidt():
     assert check_simultaneous_schmidt([I, X]) is True
     assert check_simultaneous_schmidt([I, X, Z]) is False
     assert check_simultaneous_schmidt([np.eye(3), SHIFT3, CLOCK3]) is False
+    # the batched commutator test against the loop over basis pairs
+    zz = [np.kron(a, b) for a in (I, Z) for b in (I, Z)]
+    for family in ([I, X], [I, X, Z], [np.eye(3), SHIFT3, CLOCK3], zz, [np.kron(I, X), *zz[1:]]):
+        system = build_operator_system(family)
+        basis = system.basis
+        loop = all(
+            np.abs(a @ b - b @ a).max() <= 1e-9 for i, a in enumerate(basis) for b in basis[i + 1 :]
+        )
+        assert is_abelian(system) is loop
     # commuting but overlapping states must be rejected, not called
     # distinguishable
     with pytest.raises(NotOrthogonalStates):

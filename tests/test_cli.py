@@ -3,22 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from locc import cli, io
+from locc import algebra, cli, io
 
 W = np.exp(2j * np.pi / 3)
+PAULIS = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+
+
+def _write_unitaries(path, mats):
+    mats = [np.asarray(m) for m in mats]
+    io.write_json(
+        path,
+        {"kind": "max_entangled", "d": len(mats[0]), "unitaries": [io.matrix_json(m) for m in mats]},
+    )
+    return path
 
 
 def _write_ix(tmp_path):
-    path = str(tmp_path / "ix.json")
-    io.write_json(
-        path,
-        {
-            "kind": "max_entangled",
-            "d": 2,
-            "unitaries": [io.matrix_json(np.eye(2)), io.matrix_json([[0, 1], [1, 0]])],
-        },
-    )
-    return path
+    return _write_unitaries(str(tmp_path / "ix.json"), [np.eye(2), [[0, 1], [1, 0]]])
 
 
 def _write_weyl(tmp_path):
@@ -27,16 +28,7 @@ def _write_weyl(tmp_path):
     for i in range(3):
         shift[(i + 1) % 3, i] = 1
     clock = np.diag([1, W, W**2])
-    path = str(tmp_path / "weyl.json")
-    io.write_json(
-        path,
-        {
-            "kind": "max_entangled",
-            "d": 3,
-            "unitaries": [io.matrix_json(m) for m in (np.eye(3), shift, clock)],
-        },
-    )
-    return path
+    return _write_unitaries(str(tmp_path / "weyl.json"), [np.eye(3), shift, clock])
 
 
 def _decide_json(capsys, *argv):
@@ -54,14 +46,16 @@ def test_decide_distinguishable(tmp_path, capsys):
 
 
 def test_decide_indistinguishable_permutations(tmp_path, capsys):
+    # permutations that agree at a point give overlapping states: bad input
+    # under every criterion, as for any other family
     path = str(tmp_path / "perm.json")
     io.write_json(
         path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [0, 2, 1]]}
     )
-    code, record = _decide_json(capsys, path)
-    assert code == 1
-    assert record["criterion"] == "permutation"
-    assert record["certificate"] is None
+    for criterion in ("auto", "permutation", "schmidt", "algebra"):
+        assert cli.main(["decide", path, "--json", "--criterion", criterion]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_decide_permutation_certificate_verifies(tmp_path, capsys):
@@ -85,16 +79,7 @@ def test_decide_criterion_not_applicable(tmp_path, capsys):
 
 
 def test_decide_explicit_criterion_can_be_inconclusive(tmp_path, capsys):
-    path = str(tmp_path / "full.json")
-    paulis = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-    io.write_json(
-        path,
-        {
-            "kind": "max_entangled",
-            "d": 2,
-            "unitaries": [io.matrix_json(np.asarray(m)) for m in paulis],
-        },
-    )
+    path = _write_unitaries(str(tmp_path / "full.json"), PAULIS)
     assert cli.main(["decide", path, "--criterion", "schmidt"]) == 2
     assert cli.main(["decide", path, "--criterion", "algebra"]) == 1
 
@@ -175,6 +160,59 @@ def test_verify_witness_states_via_files(tmp_path, capsys):
     assert cli.main(["verify", states, cert]) == 0
     io.write_json(cert, {"kind": "witness_isometry", "w": io.matrix_json(np.eye(2))})
     assert cli.main(["verify", states, cert]) == 0
+    # states of different lengths are bad input, not a failing certificate
+    io.write_json(
+        cert,
+        {"kind": "witness_states", "states": [io.ket_json([1, 0]), io.ket_json([0, 1, 0])], "weights": [1, 1]},
+    )
+    assert cli.main(["verify", states, cert]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_rejects_overlapping_states(tmp_path, capsys):
+    # [I, I] gives two copies of one state: no certificate may prove them
+    # distinguishable, nor is a verdict on them meaningful
+    states = _write_unitaries(str(tmp_path / "ii.json"), [np.eye(2), np.eye(2)])
+    cert = str(tmp_path / "cert.json")
+    for body in (
+        {"kind": "separating_vector", "vector": io.ket_json([1, 0])},
+        {"kind": "refuting_block", "m": 2, "n": 1},
+    ):
+        io.write_json(cert, body)
+        assert cli.main(["verify", states, cert]) == 4
+        assert "overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        [np.eye(2), [[0, 1], [1, 0]]],  # S0 closed and abelian
+        [np.eye(3), np.roll(np.eye(3), 1, axis=0), np.diag([1, W, W**2])],  # not closed
+        PAULIS,  # closed, not abelian
+    ],
+    ids=["ix", "weyl", "paulis"],
+)
+def test_each_command_builds_the_operator_system_once(tmp_path, capsys, monkeypatch, mats):
+    builds = []
+    quotient_system = algebra._quotient_system
+
+    def counted(us):
+        builds.append(len(us))
+        return quotient_system(us)
+
+    monkeypatch.setattr(algebra, "_quotient_system", counted)
+    states = _write_unitaries(str(tmp_path / "s.json"), mats)
+    cert = str(tmp_path / "vec.json")
+    io.write_json(cert, {"kind": "separating_vector", "vector": io.ket_json(np.ones(len(mats[0])))})
+    for argv in (
+        ["decide", states],
+        ["decide", states, "--criterion", "schmidt"],
+        ["decide", states, "--criterion", "algebra"],
+        ["verify", states, cert],
+    ):
+        builds.clear()
+        assert cli.main(argv) in (0, 1, 2)
+        assert len(builds) == 1, argv
 
 
 def test_cc_on_graph_and_product_files(tmp_path, capsys):

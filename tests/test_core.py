@@ -5,10 +5,8 @@ from locc.core import (
     OneWayProtocol,
     StateSet,
     WeightedStates,
-    is_hermitian,
     is_unitary,
     isometry_to_weighted_states,
-    map_to_diagonal,
     max_entangled,
     normalized,
     validate_povm,
@@ -77,16 +75,9 @@ def test_normalized():
 
 
 def test_matrix_predicates():
-    assert is_unitary(X) and is_hermitian(X)
+    assert is_unitary(X)
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
-    assert not is_unitary(shear) and not is_hermitian(shear)
-
-
-def test_map_to_diagonal():
-    m = np.arange(9).reshape(3, 3).astype(complex)
-    dm = map_to_diagonal(m)
-    assert np.allclose(dm, np.diag([0, 4, 8]))
-    assert np.trace(dm) == pytest.approx(np.trace(m))
+    assert not is_unitary(shear)
 
 
 def test_validate_povm():
@@ -127,6 +118,9 @@ def test_verify_witness_states():
         verify_witness_states(basis, [I, np.array([[0, 1], [1, np.nan]])])
     with pytest.raises(InvalidPovm):
         verify_witness_states(WeightedStates([E0, [0, np.nan]], [1.0, 1.0]), [I, X])
+    # states of different lengths are rejected before any arithmetic
+    with pytest.raises(DimensionMismatch):
+        WeightedStates([E0, [0, 1, 0]], [1.0, 1.0])
 
 
 def test_verify_witness_isometry():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locc import io
+from locc import cli, io
 from locc.core import OneWayProtocol, Povm, WeightedStates
 from locc.errors import FileFormatError
 from locc.graphs import CliqueCover, Graph
@@ -14,6 +14,45 @@ def test_complex_parsing_accepts_numbers_and_pairs():
         io.as_complex("nope", "x")
     with pytest.raises(FileFormatError):
         io.as_complex([1, 2, 3], "x")
+
+
+def test_complex_parsing_rejects_non_finite_numbers(tmp_path, capsys):
+    for bad in (float("nan"), [0, float("inf")], [1e400, 0], 10**400):
+        with pytest.raises(FileFormatError, match=r"x\[3\]"):
+            io.as_complex(bad, "x[3]")
+    # the JSON literal NaN in a product file: bad input, no clique cover
+    path = str(tmp_path / "nan.json")
+    io.write_json(
+        path,
+        {"kind": "product", "dA": 2, "dB": 2, "states": [{"a": [float("nan"), 0], "b": [1, 0]}]},
+    )
+    with pytest.raises(FileFormatError, match=r"states\[0\]\.a\[0\]"):
+        io.load_state_set_file(path)
+    assert cli.main(["cc", path, "--side", "A"]) == 4
+    assert capsys.readouterr().out == ""
+
+
+def test_indices_must_be_integers(tmp_path, capsys):
+    path = str(tmp_path / "g.json")
+    for edge in (["a", 1], [float("nan"), 1], [0.5, 1], [True, 0]):
+        io.write_json(path, {"kind": "graph", "vertices": 2, "edges": [edge]})
+        with pytest.raises(FileFormatError, match=r"edges\[0\]"):
+            io.load_graph_file(path)
+        assert cli.main(["cc", path]) == 4
+    assert capsys.readouterr().out == ""
+
+    product = {"graph": {"vertices": 2, "edges": [[0, 1]]}, "povm": [io.matrix_json(np.eye(2))]}
+    for cover in ([["x", 1]], [[0, 1.5]]):
+        io.write_json(path, {"kind": "product_protocol", **product, "cover": cover})
+        with pytest.raises(FileFormatError, match=r"cover\[0\]"):
+            io.load_protocol_file(path)
+    one_way = {"alice_povm": [io.matrix_json(np.eye(2))], "bob_povms": [[io.matrix_json(np.eye(2))]]}
+    for row in ([0, 0, 0.5], [0, float("nan"), 1], ["0", 0, None]):
+        io.write_json(path, {"kind": "one_way_protocol", **one_way, "outcome_map": [row]})
+        with pytest.raises(FileFormatError, match=r"outcome_map\[0\]"):
+            io.load_protocol_file(path)
+    io.write_json(path, {"kind": "one_way_protocol", **one_way, "outcome_map": [[0, 0, None]]})
+    assert io.load_protocol_file(path).protocol.outcome_map == {(0, 0): None}
 
 
 def test_json_value_roundtrips():
