@@ -36,7 +36,7 @@ from .algebra import (
 )
 from .core import DEFAULT_TOL, Decision
 from .errors import BadParams, LoccError, NotOrthogonalStates
-from .graphs import complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
+from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
 from .oracles import DEFAULT_SEED, simulate_one_way_protocol
 
 EXIT_DISTINGUISHABLE = 0
@@ -322,12 +322,11 @@ def cmd_verify(args) -> int:
 
 def cmd_cc(args) -> int:
     tol = _tolerance(args)
-    try:
-        g = io.load_graph_file(args.file)
-        side = "graph"
-    except LoccError:
-        sfile = io.load_state_set_file(args.file)
-        pset = sfile.product_set(tol)
+    loaded = io.load_graph_or_state_set(args.file)
+    if isinstance(loaded, Graph):
+        g, side = loaded, "graph"
+    else:
+        pset = loaded.product_set(tol)
         side = args.side
         if side == "A":
             g = pset.graph_alice(tol)

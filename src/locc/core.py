@@ -58,11 +58,11 @@ def kron_ket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def normalized(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Return ``v`` scaled to unit norm; raise ``ZeroVector`` if it is ~0."""
+    """Return ``v`` scaled to unit norm; raise ``ZeroVector`` if it is ~0 or not finite."""
     v = np.asarray(v, dtype=complex).ravel()
     n = np.linalg.norm(v)
-    if n <= tol:
-        raise ZeroVector("cannot normalize a (numerically) zero vector")
+    if not tol < n < np.inf:  # a NaN norm is out of bounds too
+        raise ZeroVector(f"cannot normalize a vector of norm {n:.3g}")
     return v / n
 
 

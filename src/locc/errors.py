@@ -60,7 +60,7 @@ class SamplingFailed(LoccError):
 
 
 class ZeroVector(LoccError):
-    """A nonzero vector was required."""
+    """A nonzero vector of finite norm was required."""
 
 
 class NotSpanning(LoccError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .core import (
@@ -109,6 +108,24 @@ def is_subgraph(g1: Graph, g2: Graph) -> bool:
     return g1.edges <= g2.edges
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Bit ``u`` of entry ``v`` is set iff ``u ~ v``."""
+    nbrs = [0] * g.vertex_count
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _pair_overlaps(vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``u < v`` in row-major order and ``|<v_u|v_v>|``, from one Gram product."""
+    us, vs = np.triu_indices(len(vecs), 1)
+    if not vecs:
+        return us, vs, np.zeros(0)
+    stack = np.array(vecs)
+    return us, vs, np.abs(stack.conj() @ stack.T)[us, vs]
+
+
 def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
     """Non-orthogonality graph of a family of vectors.
 
@@ -120,17 +137,12 @@ def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
     vecs = [normalized(k, tol) for k in kets]
     if vecs and any(v.size != vecs[0].size for v in vecs):
         raise DimensionMismatch("vectors must share a dimension")
-    edges = set()
-    borderline = []
-    for u in range(len(vecs)):
-        for v in range(u + 1, len(vecs)):
-            ip = abs(np.vdot(vecs[u], vecs[v]))
-            if ip > tol:
-                edges.add((u, v))
-            if tol / 10 <= ip <= tol * 10:
-                borderline.append((u, v, ip))
-    if borderline:
-        pairs = ", ".join(f"({u},{v}): {ip:.3e}" for u, v, ip in borderline[:8])
+    us, vs, ips = _pair_overlaps(vecs)
+    edge = ips > tol
+    edges = set(zip(us[edge].tolist(), vs[edge].tolist()))
+    near = np.flatnonzero((tol / 10 <= ips) & (ips <= tol * 10))
+    if near.size:
+        pairs = ", ".join(f"({us[k]},{vs[k]}): {ips[k]:.3e}" for k in near[:8])
         warnings.warn(
             f"overlaps within a decade of tol={tol:g} for pairs {pairs}; "
             "the orthogonality graph may be unreliable",
@@ -172,91 +184,173 @@ def is_clique_cover(g: Graph, cover: CliqueCover) -> bool:
     return covered_vertices == set(range(g.vertex_count)) and g.edges <= covered_edges
 
 
+def _maximal_cliques(nbrs: list[int]) -> list[int]:
+    """Vertex masks of all maximal cliques, given neighbour masks.
+
+    Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi,
+    Theor. Comput. Sci. 363, 2006) on bitmasks: ``P`` holds the candidates,
+    ``X`` the vertices already tried.  Each call adds one vertex to the
+    clique, so the recursion depth is at most the vertex count.
+    """
+    found: list[int] = []
+
+    def expand(clique: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                found.append(clique)
+            return
+        # a pivot with the most neighbours among the candidates leaves the
+        # fewest branches: every maximal clique holds it or a non-neighbour
+        pivot, best = -1, -1
+        scan = p | x
+        while scan:
+            u = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            k = (p & nbrs[u]).bit_count()
+            if k > best:
+                pivot, best = u, k
+        branch = p & ~nbrs[pivot]
+        while branch:
+            b = branch & -branch
+            branch ^= b
+            v = b.bit_length() - 1
+            expand(clique | b, p & nbrs[v], x & nbrs[v])
+            p ^= b
+            x |= b
+
+    expand(0, (1 << len(nbrs)) - 1, 0)
+    return found
+
+
 def _set_cover_exact(masks: list[int], universe: int) -> list[int]:
-    """Minimum cover of the bit universe by the given masks (branch and bound)."""
-    element_to_sets: dict[int, list[int]] = {}
-    bit = 1
-    pos = 0
-    while bit <= universe:
-        if universe & bit:
-            owners = [i for i, m in enumerate(masks) if m & bit]
-            if not owners:
+    """Minimum cover of the bit universe by the given masks (branch and bound).
+
+    - An element ``e`` is dropped when every mask holding some other
+      element ``f`` also holds ``e``: covering ``f`` covers ``e``.
+    - The lower bound is a packing: elements that no single mask covers
+      together each need a mask of their own.  ``reach[e]`` is the union of
+      the masks that hold ``e``; an element outside the reach of every
+      element picked so far shares no mask with any of them.  A first walk
+      over the uncovered elements by increasing ``reach`` (a scan from the
+      lowest bit, since elements are renumbered in that order) prunes most
+      nodes; where it does not, a second walk picks at each step the
+      element whose reach meets the fewest remaining ones.
+    - The search branches on the uncovered element with the fewest usable
+      owners.  Once the subtree of one owner is done, that owner is barred
+      from its later siblings' subtrees: every cover holding it was seen.
+    """
+    owners: dict[int, int] = {}
+    for e in range(universe.bit_length()):
+        if universe >> e & 1:
+            owners[e] = sum(1 << i for i, m in enumerate(masks) if m >> e & 1)
+            if not owners[e]:
                 raise BadParams("universe element covered by no set")
-            element_to_sets[pos] = owners
-        bit <<= 1
-        pos += 1
+    kept = [
+        e
+        for e in owners
+        if not any(
+            f != e and owners[f] & ~owners[e] == 0 and (owners[f] != owners[e] or f < e)
+            for f in owners
+        )
+    ]
+    reach = {e: 0 for e in kept}
+    for e in kept:
+        for i, m in enumerate(masks):
+            if owners[e] >> i & 1:
+                reach[e] |= m
+    order = sorted(kept, key=lambda e: (reach[e].bit_count(), e))
+
+    def renumber(m: int) -> int:
+        return sum(1 << k for k, e in enumerate(order) if m >> e & 1)
+
+    sets = [renumber(m) for m in masks]
+    reach_of = [renumber(reach[e]) for e in order]
+    owners_of = [owners[e] for e in order]
+    everything = (1 << len(order)) - 1
 
     # greedy upper bound
     best: list[int] = []
-    uncovered = universe
+    uncovered = everything
     while uncovered:
-        i = max(range(len(masks)), key=lambda i: bin(masks[i] & uncovered).count("1"))
+        i = max(range(len(sets)), key=lambda i: (sets[i] & uncovered).bit_count())
         best.append(i)
-        uncovered &= ~masks[i]
-    best_len = len(best)
-
-    max_gain = max(bin(m).count("1") for m in masks) if masks else 1
+        uncovered &= ~sets[i]
     chosen: list[int] = []
 
-    def dfs(uncovered: int) -> None:
-        nonlocal best, best_len
-        if not uncovered:
-            if len(chosen) < best_len:
-                best, best_len = list(chosen), len(chosen)
-            return
-        need = -(-bin(uncovered).count("1") // max_gain)  # ceil division
-        if len(chosen) + need >= best_len:
-            return
-        # branch on the uncovered element with fewest candidate sets
-        pick = None
-        pick_owners = None
-        bit = uncovered & -uncovered
-        scan = uncovered
-        while scan:
-            b = scan & -scan
-            owners = [i for i in element_to_sets[b.bit_length() - 1] if masks[i] & uncovered & b]
-            if pick_owners is None or len(owners) < len(pick_owners):
-                pick, pick_owners = b, owners
-                if len(owners) <= 1:
-                    break
-            scan &= ~b
-        for i in sorted(pick_owners, key=lambda i: -bin(masks[i] & uncovered).count("1")):
-            chosen.append(i)
-            dfs(uncovered & ~masks[i])
-            chosen.pop()
+    def packing_at_least(uncovered: int, room: int) -> bool:
+        """True if ``room`` elements of ``uncovered`` are found that pairwise share no mask."""
+        need, rest = 0, uncovered
+        while rest:
+            need += 1
+            rest &= ~reach_of[(rest & -rest).bit_length() - 1]
+        if need >= room:
+            return True
+        need, rest = 0, uncovered
+        while rest:
+            need += 1
+            if need >= room:
+                return True
+            pick, fewest, scan = 0, len(order) + 1, rest
+            while scan:
+                k = (scan & -scan).bit_length() - 1
+                scan &= scan - 1
+                met = (reach_of[k] & rest).bit_count()
+                if met < fewest:
+                    pick, fewest = k, met
+            rest &= ~reach_of[pick]
+        return False
 
-    dfs(universe)
+    def dfs(uncovered: int, barred: int) -> None:
+        nonlocal best
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if packing_at_least(uncovered, len(best) - len(chosen)):
+            return
+        usable, fewest, scan = 0, len(sets) + 1, uncovered
+        while scan:
+            k = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            allowed = owners_of[k] & ~barred
+            if allowed.bit_count() < fewest:
+                usable, fewest = allowed, allowed.bit_count()
+                if fewest <= 1:
+                    break
+        branches = [i for i in range(len(sets)) if usable >> i & 1]  # none: no cover here
+        for i in sorted(branches, key=lambda i: -(sets[i] & uncovered).bit_count()):
+            chosen.append(i)
+            dfs(uncovered & ~sets[i], barred)
+            chosen.pop()
+            barred |= 1 << i
+
+    dfs(everything, 0)
     return best
 
 
 def minimum_clique_cover(g: Graph) -> CliqueCover:
     """An optimal clique cover (vertices and edges both covered), exact.
 
-    Maximal cliques are enumerated with networkx (Bron-Kerbosch with
-    pivoting) and the covering subfamily is found by branch-and-bound set
-    cover over the vertex+edge universe.  Exponential in the worst case;
-    refuses graphs with more than ``MAX_COVER_VERTICES`` vertices.
+    Maximal cliques come from a bitmask Bron-Kerbosch with pivoting, and the
+    covering subfamily from a branch-and-bound set cover over the
+    vertex+edge universe.  Exponential in the worst case; refuses graphs
+    with more than ``MAX_COVER_VERTICES`` vertices.
     """
     r = g.vertex_count
     if r > MAX_COVER_VERTICES:
         raise TooLarge(f"{r} vertices exceeds the exact-solver bound {MAX_COVER_VERTICES}")
     if r == 0:
         return CliqueCover(())
-    gx = nx.Graph()
-    gx.add_nodes_from(range(r))
-    gx.add_edges_from(g.edges)
-    cliques = [frozenset(c) for c in nx.find_cliques(gx)]
-
     edge_ids = {e: r + i for i, e in enumerate(sorted(g.edges))}
+    cliques = []
     masks = []
-    for c in cliques:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        vs = sorted(c)
+    for c in _maximal_cliques(_neighbour_masks(g)):
+        vs = [v for v in range(r) if c >> v & 1]
+        m = c
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
                 m |= 1 << edge_ids[(u, v)]
+        cliques.append(frozenset(vs))
         masks.append(m)
     universe = (1 << (r + len(g.edges))) - 1
     picked = _set_cover_exact(masks, universe)
@@ -316,16 +410,8 @@ class ProductStateSet:
         return graph_from_vectors(self.bob, tol)
 
     def orthogonality_defect(self) -> float:
-        """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs."""
-        worst = 0.0
-        for u in range(len(self)):
-            for v in range(u + 1, len(self)):
-                worst = max(
-                    worst,
-                    abs(np.vdot(self.alice[u], self.alice[v]))
-                    * abs(np.vdot(self.bob[u], self.bob[v])),
-                )
-        return worst
+        """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs (NaN if any is NaN)."""
+        return float((_pair_overlaps(self.alice)[2] * _pair_overlaps(self.bob)[2]).max(initial=0.0))
 
     def to_state_set(self) -> StateSet:
         kets = tuple(kron_ket(a, b) for a, b in zip(self.alice, self.bob))
@@ -334,7 +420,7 @@ class ProductStateSet:
 
 def _require_orthogonal(s: ProductStateSet, tol: float) -> None:
     defect = s.orthogonality_defect()
-    if defect > tol:
+    if not defect <= tol:  # NaN fails too
         raise NotOrthogonalStates(f"largest product overlap {defect:.3e} exceeds tol")
 
 
@@ -420,33 +506,46 @@ def _two_clique_assignment(ga: Graph, gb: Graph) -> tuple[frozenset, frozenset] 
 
     Vertices are assigned in index order with choices ordered V1-only,
     V2-only, both, so the returned pair is deterministic (the
-    lexicographically least valid assignment under that choice order).
+    lexicographically least valid assignment under that choice order).  The
+    depth-first search keeps its state in ``assign`` and two membership
+    masks instead of the call stack, so it runs at any vertex count.
     """
     r = ga.vertex_count
-    assign = [0] * r
-
-    def feasible(v: int, c: int) -> bool:
-        for u in range(v):
-            cu = assign[u]
-            if gb.has_edge(u, v) and (cu & c):
-                return False  # some part would contain a G_B edge
-            if ga.has_edge(u, v) and not (cu & c):
-                return False  # the G_A edge ends up inside neither part
-        return True
-
-    def dfs(v: int) -> bool:
-        if v == r:
-            return True
-        for c in (1, 2, 3):
-            if feasible(v, c):
-                assign[v] = c
-                if dfs(v + 1):
-                    return True
-        assign[v] = 0
-        return False
-
-    if not dfs(0):
-        return None
+    a_nbrs = _neighbour_masks(ga)
+    b_nbrs = _neighbour_masks(gb)
+    assign = [0] * r  # 1 = V1 only, 2 = V2 only, 3 = both; 0 = not yet tried
+    in_v1 = in_v2 = 0  # membership masks of the vertices before v
+    v = 0
+    while v < r:
+        bit = 1 << v
+        in_v1 &= ~bit
+        in_v2 &= ~bit
+        earlier = bit - 1
+        a_before, b_before = a_nbrs[v] & earlier, b_nbrs[v] & earlier
+        c = assign[v] + 1
+        while c <= 3:
+            # no part may contain a G_B edge, and every G_A edge to an
+            # earlier vertex must lie inside a part holding both ends
+            if not (
+                (c & 1 and b_before & in_v1)
+                or (c & 2 and b_before & in_v2)
+                or (c == 1 and a_before & ~in_v1)
+                or (c == 2 and a_before & ~in_v2)
+            ):
+                break
+            c += 1
+        if c > 3:
+            assign[v] = 0
+            if v == 0:
+                return None
+            v -= 1
+            continue
+        assign[v] = c
+        if c & 1:
+            in_v1 |= bit
+        if c & 2:
+            in_v2 |= bit
+        v += 1
     v1 = frozenset(v for v in range(r) if assign[v] & 1)
     v2 = frozenset(v for v in range(r) if assign[v] & 2)
     return v1, v2

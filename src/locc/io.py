@@ -153,7 +153,18 @@ class StateSetFile:
 
 def load_state_set_file(path: str) -> StateSetFile:
     """Load and validate any of the four state-set kinds."""
+    return _as_state_set(_load(path), path)
+
+
+def load_graph_or_state_set(path: str) -> Graph | StateSetFile:
+    """A graph file as a ``Graph``; any other kind as a state-set file."""
     obj = _load(path)
+    if obj.get("kind") == "graph":
+        return _as_graph(obj, path)
+    return _as_state_set(obj, path)
+
+
+def _as_state_set(obj: dict, path: str) -> StateSetFile:
     kind = obj.get("kind")
     if kind not in STATE_KINDS:
         _fail(path, f'"kind" must be one of {STATE_KINDS}, got {kind!r}')

@@ -244,6 +244,13 @@ def test_cc_on_graph_and_product_files(tmp_path, capsys):
     assert cli.main(["cc", lpath]) == 4
 
 
+def test_cc_reports_the_graph_parser_error(tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    io.write_json(path, {"kind": "graph", "vertices": 3, "edges": [["a", 1]]})
+    assert cli.main(["cc", path]) == 4
+    assert capsys.readouterr().err == f"error: {path}: edges[0]: expected an integer, got 'a'\n"
+
+
 def test_tolerance_resolution(tmp_path, capsys, monkeypatch):
     path = _write_ix(tmp_path)
     monkeypatch.setenv("LOCC_TOL", "not-a-number")

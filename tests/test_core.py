@@ -72,6 +72,8 @@ def test_normalized():
     assert np.linalg.norm(normalized([3, 4])) == pytest.approx(1)
     with pytest.raises(ZeroVector):
         normalized([0, 0, 0])
+    with pytest.raises(ZeroVector):
+        normalized([np.nan, 1])
 
 
 def test_matrix_predicates():

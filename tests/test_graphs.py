@@ -1,7 +1,15 @@
-from itertools import combinations
+import os
+import re
+import subprocess
+import sys
+import time
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import locc
 
 from locc.core import Decision, Povm
 from locc.errors import (
@@ -31,12 +39,27 @@ from locc.graphs import (
     validate_qubit_certificate,
     verify_product_protocol,
 )
+from locc.graphs import _maximal_cliques, _neighbour_masks, _two_clique_assignment
 from locc.oracles import simulate_one_way_protocol
 
 K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def _gnp(seed: int, r: int, p: float) -> Graph:
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(r, [(u, v) for u in range(r) for v in range(u + 1, r) if rng.random() < p])
+
+
+def _networkx_cliques(g: Graph) -> list[frozenset]:
+    import networkx as nx
+
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.vertex_count))
+    gx.add_edges_from(g.edges)
+    return [frozenset(c) for c in nx.find_cliques(gx)]
 
 
 def test_graph_basics():
@@ -87,6 +110,40 @@ def test_graph_from_vectors_warns_near_threshold():
     with pytest.warns(UserWarning):
         g = graph_from_vectors([v, K1], tol=1e-9)
     assert g.has_edge(0, 1)
+    # every borderline pair is listed, in (u, v) order
+    near = [[1, 0, 0], [3e-9, 1, 0], [2e-9, 4e-9, 1]]
+    with pytest.warns(UserWarning) as record:
+        graph_from_vectors(near, tol=1e-9)
+    listed = re.findall(r"\((\d),(\d)\)", str(record[0].message))
+    assert listed == [("0", "1"), ("0", "2"), ("1", "2")]
+
+
+def test_overlaps_match_the_pairwise_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        r, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+        alice = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
+        # basis kets give exactly orthogonal pairs, random ones generic overlaps
+        alice = np.where(rng.random((r, 1)) < 0.4, np.eye(d)[rng.integers(0, d, r)], alice)
+        bob = np.where(rng.random((r, 1)) < 0.6, np.eye(2)[rng.integers(0, 2, r)], rng.normal(size=(r, 2)))
+        s = ProductStateSet.from_pairs(zip(alice, bob))
+        ip = {
+            side: {(u, v): abs(np.vdot(vs[u], vs[v])) for u, v in combinations(range(r), 2)}
+            for side, vs in (("a", s.alice), ("b", s.bob))
+        }
+        assert s.graph_alice().edges == {e for e, x in ip["a"].items() if x > 1e-9}
+        assert s.graph_bob().edges == {e for e, x in ip["b"].items() if x > 1e-9}
+        loop = max([ip["a"][e] * ip["b"][e] for e in ip["a"]], default=0.0)
+        assert s.orthogonality_defect() == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+
+def test_nan_factor_raises_instead_of_a_verdict():
+    nan_ket = np.array([np.nan, 1], dtype=complex)
+    with pytest.raises(ZeroVector):
+        ProductStateSet.from_pairs([(nan_ket, K0), (K1, K1)])
+    # built directly, without from_pairs' normalization
+    with pytest.raises(NotOrthogonalStates):
+        decide_qubit_sender(ProductStateSet(alice=(nan_ket, K1), bob=(K0, K1)))
 
 
 def test_is_clique_cover():
@@ -138,6 +195,45 @@ def test_minimum_clique_cover_is_minimal_brute_force():
         for k in range(1, len(cover.parts)):
             for parts in combinations(maximal, k):
                 assert not is_clique_cover(g, CliqueCover(parts))
+
+
+def test_import_leaves_networkx_out():
+    src = str(Path(locc.__file__).resolve().parents[1])
+    code = "import sys, locc.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_maximal_cliques_match_networkx():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        r = int(rng.integers(1, 21))
+        g = _gnp(int(rng.integers(1 << 30)), r, float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
+        ours = [frozenset(v for v in range(r) if c >> v & 1) for c in _maximal_cliques(_neighbour_masks(g))]
+        assert len(set(ours)) == len(ours)
+        assert set(ours) == set(_networkx_cliques(g))
+
+
+def test_minimum_clique_cover_on_twenty_vertex_random_graphs():
+    from scipy.optimize import LinearConstraint, milp
+
+    graphs = [_gnp(seed, 20, p) for p in (0.3, 0.5, 0.7, 0.9) for seed in range(4)]
+    start = time.perf_counter()
+    covers = [minimum_clique_cover(g) for g in graphs]
+    assert time.perf_counter() - start < 5
+    for g, cover in zip(graphs, covers):
+        assert is_clique_cover(g, cover)
+        # comparing with every smaller family of maximal cliques, as the
+        # brute-force test does, would take over 1e8 families on each of
+        # these graphs; a MILP over networkx's maximal cliques is exact here
+        cliques = _networkx_cliques(g)
+        rows = [frozenset({v}) for v in range(20)] + [frozenset(e) for e in g.edges]
+        a = np.array([[row <= c for c in cliques] for row in rows], dtype=float)
+        res = milp(np.ones(len(cliques)), constraints=LinearConstraint(a, lb=1),
+                   integrality=np.ones(len(cliques)), bounds=(0, 1))
+        assert res.success and len(cover) == round(res.fun)
 
 
 def test_minimum_clique_cover_size_guard():
@@ -245,6 +341,34 @@ def test_decide_qubit_sender_bob_alone():
     assert sorted(cert.v1) == sorted(cert.v2) == [0, 1]
     protocol = extract_qubit_protocol(s, cert)
     assert simulate_one_way_protocol(s.to_state_set(), protocol)
+
+
+def test_two_clique_assignment_is_the_first_valid_one():
+    # the search returns the lexicographically least assignment under the
+    # choice order V1-only, V2-only, both
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        r = int(rng.integers(1, 7))
+        ga = _gnp(int(rng.integers(1 << 30)), r, 0.4)
+        gb = Graph.from_edges(r, [e for e in complement(ga).edges if rng.random() < 0.4])
+        first = None
+        for assign in product((1, 2, 3), repeat=r):
+            parts = [{v for v in range(r) if assign[v] & k} for k in (1, 2)]
+            if all(not ({u, v} <= p) for u, v in gb.edges for p in parts) and all(
+                any({u, v} <= p for p in parts) for u, v in ga.edges
+            ):
+                first = tuple(frozenset(p) for p in parts)
+                break
+        assert _two_clique_assignment(ga, gb) == first
+
+
+def test_decide_qubit_sender_many_states():
+    # Bob's factors are orthonormal, so Bob alone tells the states apart
+    rng = np.random.default_rng(5)
+    r = 1100
+    alice = rng.normal(size=(r, 2)) + 1j * rng.normal(size=(r, 2))
+    verdict = decide_qubit_sender(ProductStateSet.from_pairs(zip(alice, np.eye(r))))
+    assert verdict.decision is Decision.DISTINGUISHABLE
 
 
 def test_decide_qubit_sender_input_checks(qutrit_sender_instance):
