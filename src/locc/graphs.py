@@ -50,80 +50,89 @@ MAX_COVER_VERTICES = 20
 # ---------------------------------------------------------------------------
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices ``0 .. vertex_count-1``."""
+    """A simple undirected graph on vertices ``0 .. vertex_count-1``.
 
-    vertex_count: int
-    edges: frozenset
+    ``nbrs[v]`` is the neighbour mask of ``v``: bit ``u`` is set iff
+    ``u ~ v``.
+    """
+
+    nbrs: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> "Graph":
         if vertex_count < 0:
             raise BadParams("negative vertex count")
-        norm = set()
+        nbrs = [0] * vertex_count
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise BadParams(f"loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise BadParams(f"edge ({u},{v}) out of range")
-            norm.add(_norm_edge(u, v))
-        return cls(vertex_count=vertex_count, edges=frozenset(norm))
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return cls(tuple(nbrs))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.nbrs)
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as pairs ``(u, v)`` with ``u < v``."""
+        return frozenset(
+            (u, v) for v, m in enumerate(self.nbrs) for u in _bits(m & ((1 << v) - 1))
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        u, v = int(u), int(v)
+        r = len(self.nbrs)
+        return 0 <= u < r and 0 <= v < r and bool(self.nbrs[u] >> v & 1)
 
-    def adjacency(self) -> list[set]:
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def _clique_mask(self, vertices) -> int | None:
+        """Mask of ``vertices`` if all are in range and pairwise adjacent, else None."""
+        mask = 0
+        for v in vertices:
+            v = int(v)
+            if not 0 <= v < len(self.nbrs):
+                return None
+            mask |= 1 << v
+        for v in _bits(mask):
+            if mask & ~self.nbrs[v] != 1 << v:
+                return None
+        return mask
 
     def is_clique(self, vertices) -> bool:
-        vs = sorted(set(vertices))
-        return all(self.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :])
+        return self._clique_mask(vertices) is not None
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertices."""
-    edges = {
-        (u, v)
-        for u in range(g.vertex_count)
-        for v in range(u + 1, g.vertex_count)
-        if (u, v) not in g.edges
-    }
-    return Graph(vertex_count=g.vertex_count, edges=frozenset(edges))
+    full = (1 << g.vertex_count) - 1
+    return Graph(tuple(full ^ m ^ (1 << v) for v, m in enumerate(g.nbrs)))
 
 
 def is_subgraph(g1: Graph, g2: Graph) -> bool:
     """True iff ``g1`` and ``g2`` share vertices and ``E(g1) <= E(g2)``."""
     if g1.vertex_count != g2.vertex_count:
         raise VertexCountMismatch(f"{g1.vertex_count} vs {g2.vertex_count} vertices")
-    return g1.edges <= g2.edges
+    return all(a & ~b == 0 for a, b in zip(g1.nbrs, g2.nbrs))
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """Bit ``u`` of entry ``v`` is set iff ``u ~ v``."""
-    nbrs = [0] * g.vertex_count
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    return nbrs
-
-
-def _pair_overlaps(vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs ``u < v`` in row-major order and ``|<v_u|v_v>|``, from one Gram product."""
-    us, vs = np.triu_indices(len(vecs), 1)
-    if not vecs:
-        return us, vs, np.zeros(0)
-    stack = np.array(vecs)
-    return us, vs, np.abs(stack.conj() @ stack.T)[us, vs]
+def _overlaps(vecs) -> np.ndarray:
+    """``|<v_u|v_w>|`` for every pair of rows, from one Gram product."""
+    stack = np.array(vecs) if len(vecs) else np.zeros((0, 0))
+    return np.abs(stack.conj() @ stack.T)
 
 
 def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
@@ -137,18 +146,20 @@ def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
     vecs = [normalized(k, tol) for k in kets]
     if vecs and any(v.size != vecs[0].size for v in vecs):
         raise DimensionMismatch("vectors must share a dimension")
-    us, vs, ips = _pair_overlaps(vecs)
-    edge = ips > tol
-    edges = set(zip(us[edge].tolist(), vs[edge].tolist()))
-    near = np.flatnonzero((tol / 10 <= ips) & (ips <= tol * 10))
-    if near.size:
-        pairs = ", ".join(f"({us[k]},{vs[k]}): {ips[k]:.3e}" for k in near[:8])
+    ips = _overlaps(vecs)
+    # the upper triangle decides each pair once; its mirror makes the rows
+    adjacent = np.triu(ips > tol, 1)
+    adjacent |= adjacent.T
+    rows = np.packbits(adjacent, axis=1, bitorder="little")
+    us, vs = np.nonzero(np.triu((tol / 10 <= ips) & (ips <= tol * 10), 1))
+    if us.size:
+        pairs = ", ".join(f"({u},{v}): {ips[u, v]:.3e}" for u, v in zip(us[:8], vs[:8]))
         warnings.warn(
             f"overlaps within a decade of tol={tol:g} for pairs {pairs}; "
             "the orthogonality graph may be unreliable",
             stacklevel=2,
         )
-    return Graph(vertex_count=len(vecs), edges=frozenset(edges))
+    return Graph(tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -171,20 +182,18 @@ class CliqueCover:
 
 def is_clique_cover(g: Graph, cover: CliqueCover) -> bool:
     """True iff every part induces a clique and all vertices/edges are covered."""
-    covered_vertices = set()
-    covered_edges = set()
+    # covered[v]: v and its neighbours in the parts holding v
+    covered = [0] * g.vertex_count
     for part in cover.parts:
-        if any(not (0 <= v < g.vertex_count) for v in part):
+        mask = g._clique_mask(part)
+        if mask is None:
             return False
-        if not g.is_clique(part):
-            return False
-        covered_vertices |= part
-        vs = sorted(part)
-        covered_edges |= {(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]}
-    return covered_vertices == set(range(g.vertex_count)) and g.edges <= covered_edges
+        for v in _bits(mask):
+            covered[v] |= mask
+    return all(c == m | (1 << v) for v, (c, m) in enumerate(zip(covered, g.nbrs)))
 
 
-def _maximal_cliques(nbrs: list[int]) -> list[int]:
+def _maximal_cliques(nbrs: tuple[int, ...]) -> list[int]:
     """Vertex masks of all maximal cliques, given neighbour masks.
 
     Bron-Kerbosch with Tomita pivoting (Tomita, Tanaka and Takahashi,
@@ -344,15 +353,15 @@ def minimum_clique_cover(g: Graph) -> CliqueCover:
     edge_ids = {e: r + i for i, e in enumerate(sorted(g.edges))}
     cliques = []
     masks = []
-    for c in _maximal_cliques(_neighbour_masks(g)):
-        vs = [v for v in range(r) if c >> v & 1]
+    for c in _maximal_cliques(g.nbrs):
+        vs = list(_bits(c))
         m = c
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
                 m |= 1 << edge_ids[(u, v)]
         cliques.append(frozenset(vs))
         masks.append(m)
-    universe = (1 << (r + len(g.edges))) - 1
+    universe = (1 << (r + len(edge_ids))) - 1
     picked = _set_cover_exact(masks, universe)
     return CliqueCover(tuple(cliques[i] for i in picked))
 
@@ -411,7 +420,7 @@ class ProductStateSet:
 
     def orthogonality_defect(self) -> float:
         """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs (NaN if any is NaN)."""
-        return float((_pair_overlaps(self.alice)[2] * _pair_overlaps(self.bob)[2]).max(initial=0.0))
+        return float(np.triu(_overlaps(self.alice) * _overlaps(self.bob), 1).max(initial=0.0))
 
     def to_state_set(self) -> StateSet:
         kets = tuple(kron_ket(a, b) for a, b in zip(self.alice, self.bob))
@@ -482,15 +491,13 @@ class QubitSenderCertificate:
 
     ``v1``/``v2`` cover all state indices, are independent in ``G_B``, and
     every edge of ``G_A`` lies inside one of them.  ``alice_basis`` holds the
-    two orthonormal measurement directions; ``bob_measurements[k]`` holds the
-    orthonormal kets Bob measures after Alice's outcome ``k``, ordered by
-    state index (``sorted(v_k)``).
+    two orthonormal measurement directions; after Alice's outcome ``k`` Bob
+    measures the kets of the states in ``v_k``.
     """
 
     v1: frozenset
     v2: frozenset
     alice_basis: tuple
-    bob_measurements: tuple
 
 
 @dataclass(frozen=True)
@@ -511,8 +518,7 @@ def _two_clique_assignment(ga: Graph, gb: Graph) -> tuple[frozenset, frozenset] 
     masks instead of the call stack, so it runs at any vertex count.
     """
     r = ga.vertex_count
-    a_nbrs = _neighbour_masks(ga)
-    b_nbrs = _neighbour_masks(gb)
+    a_nbrs, b_nbrs = ga.nbrs, gb.nbrs
     assign = [0] * r  # 1 = V1 only, 2 = V2 only, 3 = both; 0 = not yet tried
     in_v1 = in_v2 = 0  # membership masks of the vertices before v
     v = 0
@@ -578,7 +584,7 @@ def decide_qubit_sender(s: ProductStateSet, tol: float = DEFAULT_TOL) -> QubitSe
             graph_bob=gb,
         )
     v1, v2 = found
-    cert = _build_certificate(s, ga, gb, v1, v2)
+    cert = _build_certificate(s, gb, v1, v2)
     return QubitSenderVerdict(
         decision=Decision.DISTINGUISHABLE,
         certificate=cert,
@@ -588,17 +594,14 @@ def decide_qubit_sender(s: ProductStateSet, tol: float = DEFAULT_TOL) -> QubitSe
 
 
 def _build_certificate(
-    s: ProductStateSet, ga: Graph, gb: Graph, v1: frozenset, v2: frozenset
+    s: ProductStateSet, gb: Graph, v1: frozenset, v2: frozenset
 ) -> QubitSenderCertificate:
-    everything = frozenset(range(len(s)))
-    if not gb.edges:
+    if not any(gb.nbrs):
         # Bob's states are pairwise orthogonal: he can measure them all
         # regardless of Alice's outcome, so any basis works for her.
+        everything = frozenset(range(len(s)))
         basis = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-        kets = tuple(normalized(b) for b in s.bob)
-        return QubitSenderCertificate(
-            v1=everything, v2=everything, alice_basis=basis, bob_measurements=(kets, kets)
-        )
+        return QubitSenderCertificate(v1=everything, v2=everything, alice_basis=basis)
     shared = v1 & v2
     only1 = sorted(v1 - shared)
     only2 = sorted(v2 - shared)
@@ -610,12 +613,7 @@ def _build_certificate(
     psi2 = np.array([-np.conj(psi1[1]), np.conj(psi1[0])])
     if abs(np.vdot(psi2, s.alice[rep2])) <= DEFAULT_TOL:
         raise InvalidCertificate("representative states are not orthogonal")
-    meas = tuple(
-        tuple(normalized(s.bob[v]) for v in sorted(part)) for part in (v1, v2)
-    )
-    return QubitSenderCertificate(
-        v1=v1, v2=v2, alice_basis=(psi1, psi2), bob_measurements=meas
-    )
+    return QubitSenderCertificate(v1=v1, v2=v2, alice_basis=(psi1, psi2))
 
 
 def validate_qubit_certificate(
@@ -632,16 +630,18 @@ def validate_qubit_certificate(
     v1, v2 = set(cert.v1), set(cert.v2)
     if v1 | v2 != set(range(r)):
         raise InvalidCertificate("parts do not cover all state indices")
+    m1, m2 = (sum(1 << int(v) for v in part) for part in (v1, v2))
     gb = s.graph_bob(tol)
     ga = s.graph_alice(tol)
-    for name, part in (("v1", v1), ("v2", v2)):
-        for u in part:
-            for v in part:
-                if u < v and gb.has_edge(u, v):
-                    raise InvalidCertificate(f"{name} is not independent in G_B")
-    for u, v in ga.edges:
-        if not ({u, v} <= v1 or {u, v} <= v2):
-            raise InvalidCertificate(f"G_A edge ({u},{v}) lies inside neither part")
+    for name, mask in (("v1", m1), ("v2", m2)):
+        if any(gb.nbrs[v] & mask for v in _bits(mask)):
+            raise InvalidCertificate(f"{name} is not independent in G_B")
+    for v, nbrs in enumerate(ga.nbrs):
+        # the G_A neighbours of v must share a part with it
+        outside = nbrs & ~((m1 if m1 >> v & 1 else 0) | (m2 if m2 >> v & 1 else 0))
+        if outside:
+            # an edge to an earlier vertex would have been caught there
+            raise InvalidCertificate(f"G_A edge ({v},{next(_bits(outside))}) lies inside neither part")
     if len(cert.alice_basis) != 2:
         raise InvalidCertificate("alice_basis must hold exactly two kets")
     b1, b2 = (np.asarray(b, dtype=complex).ravel() for b in cert.alice_basis)

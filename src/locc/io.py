@@ -238,13 +238,6 @@ def _as_state_set(obj: dict, path: str) -> StateSetFile:
     return StateSetFile(kind=kind, pairs=pairs, dA=dA, dB=dB)
 
 
-def load_graph_file(path: str) -> Graph:
-    obj = _load(path)
-    if obj.get("kind") != "graph":
-        _fail(path, 'expected "kind": "graph"')
-    return _as_graph(obj, path)
-
-
 def _as_graph(obj: dict, where: str) -> Graph:
     n = obj.get("vertices")
     edges = obj.get("edges", [])

@@ -59,10 +59,10 @@ def sandwich_enumerate(ga, gb_bar, max_missing: int = MAX_SANDWICH_EDGES) -> Ora
     optional = sorted(gb_bar.edges - ga.edges)
     if len(optional) > max_missing:
         raise TooLarge(f"{len(optional)} optional edges exceeds bound {max_missing}")
-    base = set(ga.edges)
+    base = ga.edges
     for mask in range(1 << len(optional)):
         extra = {e for i, e in enumerate(optional) if mask >> i & 1}
-        g = Graph(vertex_count=ga.vertex_count, edges=frozenset(base | extra))
+        g = Graph.from_edges(ga.vertex_count, base | extra)
         if clique_cover_number(g) <= 2:
             return OracleReport(
                 verdict=True,

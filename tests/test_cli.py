@@ -115,6 +115,15 @@ def test_decide_product_auto(tmp_path, capsys):
     io.write_json(cert_path, record["certificate"])
     assert cli.main(["verify", path, cert_path]) == 0
 
+    # a cover part holding a vertex outside the graph fails the certificate
+    capsys.readouterr()
+    povm = [io.matrix_json(np.diag([1, 0])), io.matrix_json(np.diag([0, 1]))]
+    graph = {"vertices": 4, "edges": [[0, 1], [2, 3]]}
+    for cover, code in (([[0, 1], [2, 3]], 0), ([[0, 1], [2, 3, -1]], 1)):
+        io.write_json(cert_path, {"kind": "product_protocol", "graph": graph, "cover": cover, "povm": povm})
+        assert cli.main(["verify", path, cert_path]) == code
+    assert capsys.readouterr().err == ""
+
 
 def test_gen_then_decide_lattice(tmp_path, capsys):
     out = str(tmp_path / "lat.json")
@@ -237,6 +246,10 @@ def test_cc_on_graph_and_product_files(tmp_path, capsys):
     assert cli.main(["cc", ppath, "--side", "B", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["cc"] == 1 and record["edges"] == [[0, 1]]
+    for side in ("A", "Bbar"):
+        assert cli.main(["cc", ppath, "--side", side, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["edges"], record["cc"], record["cover"]) == ([], 2, [[0], [1]])
 
     # a pauli_labels file is neither a graph nor a product set
     lpath = str(tmp_path / "lab.json")

@@ -39,7 +39,7 @@ from locc.graphs import (
     validate_qubit_certificate,
     verify_product_protocol,
 )
-from locc.graphs import _maximal_cliques, _neighbour_masks, _two_clique_assignment
+from locc.graphs import _maximal_cliques, _two_clique_assignment
 from locc.oracles import simulate_one_way_protocol
 
 K0 = np.array([1, 0], dtype=complex)
@@ -66,9 +66,12 @@ def test_graph_basics():
     g = Graph.from_edges(3, [(1, 0), (1, 2)])
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert g.adjacency() == [{1}, {0, 2}, {1}]
+    assert g.nbrs == (0b010, 0b101, 0b010)
     assert g.is_clique([0, 1]) and not g.is_clique([0, 1, 2])
     assert g.is_clique([])
+    # vertices outside the graph are in no clique
+    assert not Graph.from_edges(3, []).is_clique([5])
+    assert not g.is_clique([-1]) and not g.has_edge(-1, 0) and not g.has_edge(0, 3)
 
 
 def test_graph_rejects_bad_edges():
@@ -120,8 +123,9 @@ def test_graph_from_vectors_warns_near_threshold():
 
 def test_overlaps_match_the_pairwise_loop():
     rng = np.random.default_rng(23)
-    for _ in range(30):
-        r, d = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+    # r crosses the byte boundaries of the packed neighbour masks
+    for r in [1, 7, 8, 9, 16, 17] + rng.integers(1, 18, 24).tolist():
+        d = int(rng.integers(1, 4))
         alice = rng.normal(size=(r, d)) + 1j * rng.normal(size=(r, d))
         # basis kets give exactly orthogonal pairs, random ones generic overlaps
         alice = np.where(rng.random((r, 1)) < 0.4, np.eye(d)[rng.integers(0, d, r)], alice)
@@ -133,8 +137,69 @@ def test_overlaps_match_the_pairwise_loop():
         }
         assert s.graph_alice().edges == {e for e, x in ip["a"].items() if x > 1e-9}
         assert s.graph_bob().edges == {e for e, x in ip["b"].items() if x > 1e-9}
+        for g in (s.graph_alice(), s.graph_bob()):
+            assert g == Graph.from_edges(r, g.edges)  # the masks are symmetric
         loop = max([ip["a"][e] * ip["b"][e] for e in ip["a"]], default=0.0)
         assert s.orthogonality_defect() == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+
+def _reference_is_clique(r: int, edges: set, vertices) -> bool:
+    vs = sorted(set(vertices))
+    return all(0 <= v < r for v in vs) and all(
+        (u, v) in edges for i, u in enumerate(vs) for v in vs[i + 1 :]
+    )
+
+
+def _reference_is_clique_cover(r: int, edges: set, parts) -> bool:
+    covered_vertices, covered_edges = set(), set()
+    for part in parts:
+        if not _reference_is_clique(r, edges, part):
+            return False
+        covered_vertices |= set(part)
+        vs = sorted(part)
+        covered_edges |= {(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]}
+    return covered_vertices == set(range(r)) and edges <= covered_edges
+
+
+@pytest.mark.parametrize("r", [0, 1, 7, 8, 9, 16, 17])
+def test_masks_match_the_edge_set_reference(r):
+    # the reference is the pairwise code over a set of (u, v) pairs, u < v,
+    # that the neighbour masks replaced; r crosses the byte boundaries
+    rng = np.random.default_rng(300 + r)
+    pairs = list(combinations(range(r), 2))
+    outside = [-1, r]
+    for p in (0.0, 0.3, 0.7, 1.0):
+        edges = {e for e in pairs if rng.random() < p}
+        g = Graph.from_edges(r, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges])
+        assert g.vertex_count == r and g.edges == edges
+        assert Graph.from_edges(r, g.edges) == g
+        assert complement(g).edges == {e for e in pairs if e not in edges}
+        for u, v in product(range(-1, r + 1), repeat=2):
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in edges)
+
+        other = {e for e in pairs if rng.random() < 0.5}
+        sub = {e for e in edges if rng.random() < 0.7}
+        for e1, e2 in ((edges, other), (other, edges), (sub, edges), (edges, sub)):
+            assert is_subgraph(Graph.from_edges(r, e1), Graph.from_edges(r, e2)) == (e1 <= e2)
+
+        cliques = [[v for v in range(r) if c >> v & 1] for c in _maximal_cliques(g.nbrs)]
+        candidates = cliques + [c + [outside[i % 2]] for i, c in enumerate(cliques)]
+        # random vertex sets, some holding -1 or r
+        candidates += [rng.permutation(range(-1, r + 1))[: rng.integers(0, 5)].tolist() for _ in range(20)]
+        for c in candidates:
+            assert g.is_clique(c) == _reference_is_clique(r, edges, c), c
+
+        covers = [
+            [[v] for v in range(r)] + [list(e) for e in edges],
+            cliques,
+            cliques[1:],
+            [[v] for v in range(r)],
+            [c + [outside[i % 2]] if i == 0 else c for i, c in enumerate(cliques)],
+            [c + [int(rng.integers(0, r))] if r and i == 0 else c for i, c in enumerate(cliques)],
+        ]
+        for parts in covers:
+            expected = _reference_is_clique_cover(r, edges, parts)
+            assert is_clique_cover(g, CliqueCover(parts)) == expected, parts
 
 
 def test_nan_factor_raises_instead_of_a_verdict():
@@ -156,6 +221,8 @@ def test_is_clique_cover():
     lone = Graph.from_edges(2, [])
     assert not is_clique_cover(lone, CliqueCover([(0,)]))
     assert is_clique_cover(lone, CliqueCover([(0,), (1,)]))
+    # parts may hold only vertices of the graph
+    assert not is_clique_cover(lone, CliqueCover([(0,), (1,), (-1,)]))
 
 
 @pytest.mark.parametrize(
@@ -211,7 +278,7 @@ def test_maximal_cliques_match_networkx():
     for _ in range(200):
         r = int(rng.integers(1, 21))
         g = _gnp(int(rng.integers(1 << 30)), r, float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])))
-        ours = [frozenset(v for v in range(r) if c >> v & 1) for c in _maximal_cliques(_neighbour_masks(g))]
+        ours = [frozenset(v for v in range(r) if c >> v & 1) for c in _maximal_cliques(g.nbrs)]
         assert len(set(ours)) == len(ours)
         assert set(ours) == set(_networkx_cliques(g))
 
@@ -389,13 +456,14 @@ def test_validate_qubit_certificate_rejects_tampering(four_product_states):
             v1=cert.v1,
             v2=cert.v2,
             alice_basis=cert.alice_basis,
-            bob_measurements=cert.bob_measurements,
         )
         fields.update(kw)
         return QubitSenderCertificate(**fields)
 
     with pytest.raises(InvalidCertificate):  # missing vertex
         validate_qubit_certificate(four_product_states, remake(v1=frozenset({0})))
+    with pytest.raises(InvalidCertificate):  # vertex outside the state set
+        validate_qubit_certificate(four_product_states, remake(v1=cert.v1 | {-1}))
     with pytest.raises(InvalidCertificate):  # part not independent in G_B
         validate_qubit_certificate(
             four_product_states, remake(v1=frozenset({0, 2}), v2=frozenset({1, 3}))

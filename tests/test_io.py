@@ -37,7 +37,7 @@ def test_indices_must_be_integers(tmp_path, capsys):
     for edge in (["a", 1], [float("nan"), 1], [0.5, 1], [True, 0]):
         io.write_json(path, {"kind": "graph", "vertices": 2, "edges": [edge]})
         with pytest.raises(FileFormatError, match=r"edges\[0\]"):
-            io.load_graph_file(path)
+            io.load_graph_or_state_set(path)
         assert cli.main(["cc", path]) == 4
     assert capsys.readouterr().out == ""
 
@@ -135,10 +135,10 @@ def test_graph_file_roundtrip(tmp_path):
     path = str(tmp_path / "g.json")
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     io.write_json(path, io.graph_json(g))
-    assert io.load_graph_file(path) == g
+    assert io.load_graph_or_state_set(path) == g
     io.write_json(path, {"kind": "graph", "vertices": -1, "edges": []})
     with pytest.raises(FileFormatError):
-        io.load_graph_file(path)
+        io.load_graph_or_state_set(path)
 
 
 def test_protocol_file_kinds(tmp_path):
