@@ -105,6 +105,21 @@ class OperatorSystem:
     def rows(self) -> np.ndarray:
         return self.basis.reshape(self.basis.shape[0], -1)
 
+    # the interface the criteria use, shared with pauli.PauliOperatorSystem
+
+    def closure(self) -> "OperatorSystem":
+        return algebra_closure(self)
+
+    def is_abelian(self, tol: float = DEFAULT_TOL) -> bool:
+        return is_abelian(self, tol)
+
+    def decompose(self, seed: int = 0) -> "AlgebraDecomposition":
+        return decompose(self, seed)
+
+    def images(self, psi: np.ndarray) -> np.ndarray:
+        """Rows ``B_i psi`` over the orthonormal basis."""
+        return self.basis @ psi
+
     def contains(self, m: np.ndarray) -> bool:
         """Span membership of a single matrix at the package rank threshold."""
         row = np.asarray(m, dtype=complex).reshape(1, -1)
@@ -227,7 +242,8 @@ class AlgebraDecomposition:
     """Block structure of a C*-algebra: unitarily ``(+)_k M_m_k (x) I_n_k``.
 
     ``blocks[k] = (m_k, n_k)`` and ``projections[k]`` is the minimal central
-    projection of the k-th block.  Invariants (asserted at construction
+    projection of the k-th block (none are formed for a
+    :class:`locc.pauli.PauliOperatorSystem`).  Invariants (asserted at construction
     time): ``sum m_k^2 == algebra_dim`` and ``sum m_k * n_k == dim``.
     """
 
@@ -365,8 +381,7 @@ def is_separating(system: OperatorSystem, psi: np.ndarray, tol: float = DEFAULT_
         raise ZeroVector("candidate separating vector is ~0")
     if system.system_dim > system.dim:
         return False  # D vectors in C^d cannot be independent when D > d
-    image = system.basis @ psi  # (D, d)
-    s = np.linalg.svd(image, compute_uv=False)
+    s = np.linalg.svd(system.images(psi), compute_uv=False)
     return bool(s[-1] > s[0] * RANK_RTOL)
 
 
@@ -395,7 +410,7 @@ def find_separating_vector(
     ``SamplingFailed`` if no sample passes within the retry budget, which
     indicates conditioning trouble rather than non-existence.
     """
-    dec = decompose(system, seed=seed)
+    dec = system.decompose(seed)
     if not has_separating_vector(dec):
         worst = max(dec.blocks, key=lambda mn: mn[0] - mn[1])
         return SeparatingCertificate(
@@ -442,10 +457,12 @@ def _require_orthogonal(us: np.ndarray, tol: float) -> None:
     np.fill_diagonal(overlaps, 0.0)
     if overlaps.max() > tol:
         a, b = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
-        a, b = sorted((int(a), int(b)))
-        raise NotOrthogonalStates(
-            f"states {a} and {b} overlap: |tr(U_{b}^* U_{a})|/d > tol"
-        )
+        raise overlap_error(*sorted((int(a), int(b))))
+
+
+def overlap_error(a: int, b: int) -> NotOrthogonalStates:
+    """The error for the first overlapping pair ``a < b`` in row-major order."""
+    return NotOrthogonalStates(f"states {a} and {b} overlap: |tr(U_{b}^* U_{a})|/d > tol")
 
 
 def decide_by_algebra(unitaries, tol: float = DEFAULT_TOL, seed: int = 0) -> AlgebraVerdict:
@@ -466,12 +483,11 @@ def decide_system(
     closure is attached for diagnosis.
     """
     if not system.closed_under_mult:
-        closure = algebra_closure(system)
         return AlgebraVerdict(
             decision=Decision.CRITERION_NOT_APPLICABLE,
             certificate=None,
             system=system,
-            decomposition=decompose(closure, seed=seed),
+            decomposition=system.closure().decompose(seed),
             closed=False,
         )
     cert = find_separating_vector(system, seed=seed, tol=tol)

@@ -24,16 +24,7 @@ import time
 import numpy as np
 
 from . import io
-from .algebra import (
-    algebra_closure,
-    build_operator_system,
-    check_permutation_states,
-    decide_system,
-    decompose,
-    find_separating_vector,
-    is_abelian,
-    is_separating,
-)
+from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating
 from .core import DEFAULT_TOL, Decision
 from .errors import BadParams, LoccError, NotOrthogonalStates
 from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
@@ -64,15 +55,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("LOCC_TOL")
-    if env:
+    tol, env = args.tol, os.environ.get("LOCC_TOL")
+    if tol is None and env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise BadParams(f"LOCC_TOL={env!r} is not a number") from None
-    return DEFAULT_TOL
+    if tol is None:
+        return DEFAULT_TOL
+    if not tol >= 0:  # NaN fails too
+        raise BadParams(f"tolerance {tol} is not a non-negative number")
+    return tol
 
 
 def _emit(args, record: dict, text: str) -> None:
@@ -119,9 +112,9 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float,
         return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
 
     if name == "schmidt":
-        if not is_abelian(system, tol):
+        if not system.is_abelian(tol):
             return None, None, "no simultaneous Schmidt decomposition"
-        closure = system if system.closed_under_mult else algebra_closure(system)
+        closure = system if system.closed_under_mult else system.closure()
         cert = find_separating_vector(closure, seed=seed, tol=tol)
         return (
             Decision.DISTINGUISHABLE,
@@ -183,7 +176,7 @@ def cmd_decide(args) -> int:
 
     start = time.perf_counter()
     # one operator system, hence one validation, for both criteria on unitaries
-    system = build_operator_system(sfile.unitaries, tol) if {"schmidt", "algebra"} & set(chain) else None
+    system = sfile.operator_system(tol) if {"schmidt", "algebra"} & set(chain) else None
     decision, certificate, detail, used = (
         Decision.CRITERION_NOT_APPLICABLE,
         None,
@@ -254,31 +247,30 @@ def _verify(sfile: io.StateSetFile, pfile: io.ProtocolFile, tol: float) -> tuple
     if kind in ("separating_vector", "refuting_block", "witness_states", "witness_isometry"):
         if sfile.is_product:
             raise BadParams(f"certificate kind {kind!r} applies to unitary state sets")
-        us = sfile.unitaries
 
         if kind == "witness_states":
-            ok = verify_witness_states(pfile.weighted_states, us, tol)
+            ok = verify_witness_states(pfile.weighted_states, sfile.unitaries, tol)
             return ok, "weighted states kill all off-diagonal quotients" if ok else "a quotient has a nonzero diagonal term"
 
         if kind == "witness_isometry":
-            ok = verify_witness_isometry(pfile.isometry, us, tol)
+            ok = verify_witness_isometry(pfile.isometry, sfile.unitaries, tol)
             return ok, "isometry kills all quotient diagonals" if ok else "a quotient diagonal does not vanish"
 
-        system = build_operator_system(us, tol)
+        system = sfile.operator_system(tol)
         if kind == "separating_vector":
-            closure = system if system.closed_under_mult else algebra_closure(system)
+            closure = system if system.closed_under_mult else system.closure()
             if not is_separating(closure, pfile.vector, tol):
                 return False, "the vector does not separate the operator system"
             if system.closed_under_mult:
                 return True, "separating vector for a multiplicatively closed system"
-            if is_abelian(system, tol):
+            if system.is_abelian(tol):
                 return True, "separating vector for an abelian closure (simultaneous Schmidt)"
             return False, "system not closed and not abelian: the vector proves nothing"
 
         # refuting_block
         if not system.closed_under_mult:
             return False, "operator system is not multiplicatively closed"
-        dec = decompose(system)
+        dec = system.decompose()
         m, n = pfile.block
         if (m, n) in dec.blocks and m > n:
             return True, f"block ({m},{n}) with m > n is present"

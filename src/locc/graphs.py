@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +147,15 @@ def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
     vecs = [normalized(k, tol) for k in kets]
     if vecs and any(v.size != vecs[0].size for v in vecs):
         raise DimensionMismatch("vectors must share a dimension")
-    ips = _overlaps(vecs)
+    return _threshold(_overlaps(vecs), tol)
+
+
+def _threshold(ips: np.ndarray, tol: float) -> Graph:
+    """The graph ``u ~ v`` iff ``ips[u, v] > tol``, ``ips`` the overlaps of unit vectors.
+
+    The near-threshold warning of :func:`graph_from_vectors` is raised here;
+    it names the line that called this function's caller.
+    """
     # the upper triangle decides each pair once; its mirror makes the rows
     adjacent = np.triu(ips > tol, 1)
     adjacent |= adjacent.T
@@ -157,7 +166,7 @@ def graph_from_vectors(kets, tol: float = DEFAULT_TOL) -> Graph:
         warnings.warn(
             f"overlaps within a decade of tol={tol:g} for pairs {pairs}; "
             "the orthogonality graph may be unreliable",
-            stacklevel=2,
+            stacklevel=3,
         )
     return Graph(tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
@@ -412,15 +421,26 @@ class ProductStateSet:
     def __len__(self) -> int:
         return len(self.alice)
 
+    # each side's overlaps come from one Gram product per set, which every
+    # graph and the orthogonality check threshold
+
+    @cached_property
+    def alice_overlaps(self) -> np.ndarray:
+        return _overlaps(self.alice)
+
+    @cached_property
+    def bob_overlaps(self) -> np.ndarray:
+        return _overlaps(self.bob)
+
     def graph_alice(self, tol: float = DEFAULT_TOL) -> Graph:
-        return graph_from_vectors(self.alice, tol)
+        return _threshold(self.alice_overlaps, tol)
 
     def graph_bob(self, tol: float = DEFAULT_TOL) -> Graph:
-        return graph_from_vectors(self.bob, tol)
+        return _threshold(self.bob_overlaps, tol)
 
     def orthogonality_defect(self) -> float:
         """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs (NaN if any is NaN)."""
-        return float(np.triu(_overlaps(self.alice) * _overlaps(self.bob), 1).max(initial=0.0))
+        return float(np.triu(self.alice_overlaps * self.bob_overlaps, 1).max(initial=0.0))
 
     def to_state_set(self) -> StateSet:
         kets = tuple(kron_ket(a, b) for a, b in zip(self.alice, self.bob))

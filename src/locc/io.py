@@ -24,12 +24,15 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .algebra import build_operator_system, permutation_matrix
 from .core import DEFAULT_TOL, OneWayProtocol, Povm, StateSet, WeightedStates
 from .errors import FileFormatError
 from .graphs import CliqueCover, Graph, ProductStateSet
+from .pauli import build_pauli_system, from_label, to_dense
 
 SCHEMA = "locc/1"
 
@@ -66,6 +69,14 @@ def as_index(obj, where: str) -> int:
     if type(obj) is not int:  # JSON true/false parse as bool, a subclass of int
         _fail(where, f"expected an integer, got {obj!r}")
     return obj
+
+
+def _count(obj: dict, key: str, path: str, least: int = 1) -> int:
+    """The integer field ``key`` of ``obj``, at least ``least``."""
+    value = as_index(obj.get(key), f'{path}: "{key}"')
+    if value < least:
+        _fail(path, f'"{key}" must be a {"positive" if least else "non-negative"} integer')
+    return value
 
 
 def as_ket(obj, where: str) -> np.ndarray:
@@ -128,10 +139,10 @@ class StateSetFile:
     """Parsed content of a state-set file."""
 
     kind: str
-    unitaries: list = field(default_factory=list)  # dense, for the unitary kinds
+    matrices: list = field(default_factory=list)  # dense, max_entangled and permutations only
     perms: list = field(default_factory=list)  # image lists, permutations only
     labels: list = field(default_factory=list)  # pauli_labels only
-    n: int | None = None
+    paulis: list = field(default_factory=list)  # the labels as PauliOps
     pairs: list = field(default_factory=list)  # product only
     dA: int | None = None
     dB: int | None = None
@@ -139,6 +150,17 @@ class StateSetFile:
     @property
     def is_product(self) -> bool:
         return self.kind == "product"
+
+    @cached_property
+    def unitaries(self) -> list:
+        """Dense unitaries; a label file builds them on first use."""
+        return [to_dense(op) for op in self.paulis] if self.paulis else self.matrices
+
+    def operator_system(self, tol: float = DEFAULT_TOL):
+        """The validated ``S0`` of a unitary family: over GF(2) for a label file."""
+        if self.paulis:
+            return build_pauli_system(self.paulis)
+        return build_operator_system(self.unitaries, tol)
 
     def product_set(self, tol: float = DEFAULT_TOL) -> ProductStateSet:
         if not self.is_product:
@@ -170,60 +192,44 @@ def _as_state_set(obj: dict, path: str) -> StateSetFile:
         _fail(path, f'"kind" must be one of {STATE_KINDS}, got {kind!r}')
 
     if kind == "max_entangled":
-        d = obj.get("d")
+        d = _count(obj, "d", path)
         mats = obj.get("unitaries")
-        if not isinstance(d, int) or d < 1:
-            _fail(path, '"d" must be a positive integer')
         if not isinstance(mats, list) or not mats:
             _fail(path, '"unitaries" must be a non-empty array')
         us = [as_matrix(m, f"{path}: unitaries[{i}]") for i, m in enumerate(mats)]
         if any(u.shape != (d, d) for u in us):
             _fail(path, f"all unitaries must be {d}x{d}")
-        return StateSetFile(kind=kind, unitaries=us)
+        return StateSetFile(kind=kind, matrices=us)
 
     if kind == "pauli_labels":
-        from .pauli import from_label, to_dense
-
-        n = obj.get("n")
+        n = _count(obj, "n", path)
         labels = obj.get("labels")
-        if not isinstance(n, int) or n < 1:
-            _fail(path, '"n" must be a positive integer')
         if not isinstance(labels, list) or not labels:
             _fail(path, '"labels" must be a non-empty array')
         if any(not isinstance(s, str) or len(s) != n for s in labels):
             _fail(path, f"every label must be a string of length n={n}")
-        ops = [from_label(s) for s in labels]
-        return StateSetFile(
-            kind=kind, labels=list(labels), n=n, unitaries=[to_dense(op) for op in ops]
-        )
+        return StateSetFile(kind=kind, labels=list(labels), paulis=[from_label(s) for s in labels])
 
     if kind == "permutations":
-        from .algebra import permutation_matrix
-
-        d = obj.get("d")
+        d = _count(obj, "d", path)
         perms = obj.get("perms")
-        if not isinstance(d, int) or d < 1:
-            _fail(path, '"d" must be a positive integer')
         if not isinstance(perms, list) or not perms:
             _fail(path, '"perms" must be a non-empty array')
         images = []
         for i, p in enumerate(perms):
-            if (
-                not isinstance(p, list)
-                or len(p) != d
-                or sorted(p) != list(range(d))
-            ):
+            if not isinstance(p, list) or len(p) != d:
                 _fail(path, f"perms[{i}] is not a permutation of 0..{d - 1}")
-            images.append([int(x) for x in p])
+            image = [as_index(x, f"{path}: perms[{i}]") for x in p]
+            if sorted(image) != list(range(d)):
+                _fail(path, f"perms[{i}] is not a permutation of 0..{d - 1}")
+            images.append(image)
         return StateSetFile(
-            kind=kind, perms=images, unitaries=[permutation_matrix(p) for p in images]
+            kind=kind, perms=images, matrices=[permutation_matrix(p) for p in images]
         )
 
     # product
-    dA, dB = obj.get("dA"), obj.get("dB")
+    dA, dB = _count(obj, "dA", path), _count(obj, "dB", path)
     states = obj.get("states")
-    if not isinstance(dA, int) or not isinstance(dB, int) or dA < 1 or dB < 1:
-        _fail(path, '"dA" and "dB" must be positive integers')
     if not isinstance(states, list) or not states:
         _fail(path, '"states" must be a non-empty array')
     pairs = []
@@ -239,10 +245,8 @@ def _as_state_set(obj: dict, path: str) -> StateSetFile:
 
 
 def _as_graph(obj: dict, where: str) -> Graph:
-    n = obj.get("vertices")
+    n = _count(obj, "vertices", where, least=0)
     edges = obj.get("edges", [])
-    if not isinstance(n, int) or n < 0:
-        _fail(where, '"vertices" must be a non-negative integer')
     if not isinstance(edges, list) or any(
         not isinstance(e, list) or len(e) != 2 for e in edges
     ):
@@ -286,10 +290,7 @@ def load_protocol_file(path: str) -> ProtocolFile:
         return ProtocolFile(kind=kind, vector=as_ket(obj.get("vector"), f"{path}: vector"))
 
     if kind == "refuting_block":
-        m, n = obj.get("m"), obj.get("n")
-        if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
-            _fail(path, '"m" and "n" must be positive integers')
-        return ProtocolFile(kind=kind, block=(m, n))
+        return ProtocolFile(kind=kind, block=(_count(obj, "m", path), _count(obj, "n", path)))
 
     if kind == "witness_states":
         states = obj.get("states")

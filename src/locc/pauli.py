@@ -8,6 +8,9 @@ has dense form ``[[0, -1j], [1j, 0]]`` exactly.
 
 Multiplication, commutation and group-span computations happen on the bit
 representation; :func:`to_dense` materializes a ``2^n x 2^n`` matrix.
+:class:`PauliOperatorSystem` is the operator system ``S0`` of a label family
+over GF(2): it answers every question the criteria of :mod:`locc.algebra`
+ask without forming a dense matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from itertools import product
 
 import numpy as np
 
+from .algebra import AlgebraDecomposition, overlap_error
 from .core import require_unitary
-from .errors import BadLabel, BadParams, DimensionMismatch
+from .errors import BadLabel, BadParams, DimensionMismatch, NotAnAlgebra
 
 I = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,6 +135,22 @@ def conjugate_by(u: np.ndarray, op: PauliOp, tol: float = 1e-9) -> np.ndarray:
     return u @ dense @ u.conj().T
 
 
+def _pivots(vecs) -> list[int]:
+    """Echelon basis of the GF(2) span of integer bit vectors.
+
+    Each kept vector has its leading bit cleared from every later one, so
+    reducing a vector by the pivots in order leaves zero iff it lies in the
+    span.
+    """
+    pivots: list[int] = []
+    for v in vecs:
+        for p in pivots:
+            v = min(v, v ^ p)
+        if v:
+            pivots.append(v)
+    return pivots
+
+
 def subgroup_span_dim(gens: list[PauliOp]) -> int:
     """Dimension of the span of the group generated by ``gens``.
 
@@ -143,16 +163,133 @@ def subgroup_span_dim(gens: list[PauliOp]) -> int:
         n = gens[0].n
         if any(g.n != n for g in gens):
             raise DimensionMismatch("generators must share a qubit count")
-        vecs = [(g.x << n) | g.z for g in gens]
-    else:
-        vecs = []
-    pivots: list[int] = []
-    for v in vecs:
+    return 1 << len(_pivots((g.x << g.n) | g.z for g in gens))
+
+
+def _symplectic(u: int, v: int, n: int) -> int:
+    """The symplectic form of two ``(x << n) | z`` vectors: 0 iff the Paulis commute."""
+    return bin(((u >> n) & v) ^ (u & (v >> n))).count("1") & 1
+
+
+def _index_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """Qubit masks as basis-index masks: qubit q is index bit ``n - 1 - q``."""
+    out = np.zeros_like(masks)
+    for q in range(n):
+        out |= ((masks >> q) & 1) << (n - 1 - q)
+    return out
+
+
+@dataclass(frozen=True)
+class PauliOperatorSystem:
+    """``span{P_q : q in elements}`` for phase-free n-qubit Paulis, over GF(2).
+
+    An element ``q`` is the bit vector ``(x << n) | z``; ``pivots`` is an
+    echelon basis of the GF(2) span of the elements.  Distinct Paulis are
+    orthogonal for the trace inner product, so the span has dimension
+    ``len(elements)``, and the algebra it generates is spanned by the Paulis
+    of the GF(2) span.  It offers the interface of
+    :class:`locc.algebra.OperatorSystem` that the criteria use.
+    """
+
+    n: int
+    elements: tuple[int, ...]
+    pivots: tuple[int, ...]
+
+    @classmethod
+    def of_span(cls, n: int, pivots) -> "PauliOperatorSystem":
+        elements = [0]
         for p in pivots:
-            v = min(v, v ^ p)
-        if v:
-            pivots.append(v)
-    return 1 << len(pivots)
+            elements += [e ^ p for e in elements]
+        return cls(n=n, elements=tuple(sorted(elements)), pivots=tuple(pivots))
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n
+
+    @property
+    def system_dim(self) -> int:
+        return len(self.elements)
+
+    @property
+    def closed_under_mult(self) -> bool:
+        """A set of Paulis spans an algebra iff it is a GF(2) subspace."""
+        return len(self.elements) == 1 << len(self.pivots)
+
+    def closure(self) -> "PauliOperatorSystem":
+        return PauliOperatorSystem.of_span(self.n, self.pivots)
+
+    def is_abelian(self, tol: float | None = None) -> bool:
+        """True iff the symplectic form vanishes on the span (exact; ``tol`` unused)."""
+        return not any(
+            _symplectic(p, q, self.n) for i, p in enumerate(self.pivots) for q in self.pivots[i + 1 :]
+        )
+
+    def decompose(self, seed: int = 0) -> AlgebraDecomposition:
+        """Blocks ``2^c x (2^g, 2^(n-g-c))`` of a closed system.
+
+        With ``v = len(pivots)``, ``2g`` the GF(2) rank of the symplectic form
+        on the span and ``c = v - 2g`` the dimension of its radical (the
+        center), the algebra is ``2^c`` copies of ``M_{2^g}``, each with
+        multiplicity ``2^(n-g-c)``.  No projections are formed; ``seed`` is
+        unused.
+        """
+        if not self.closed_under_mult:
+            raise NotAnAlgebra("decompose requires a multiplicatively closed system")
+        form = [
+            sum(_symplectic(p, q, self.n) << j for j, q in enumerate(self.pivots))
+            for p in self.pivots
+        ]
+        g = len(_pivots(form)) // 2
+        c = len(self.pivots) - 2 * g
+        return AlgebraDecomposition(
+            dim=self.dim,
+            algebra_dim=self.system_dim,
+            blocks=((1 << g, 1 << (self.n - g - c)),) * (1 << c),
+            projections=(),
+        )
+
+    def images(self, psi: np.ndarray) -> np.ndarray:
+        """Rows ``P_q psi / sqrt(2^n)``, one per element.
+
+        The ``P_q / sqrt(2^n)`` are orthonormal, like the basis of a dense
+        system, so the rows have the same singular values as its images.
+        ``(X^x Z^z psi)[j] = (-1)^{|z & (j ^ x)|} psi[j ^ x]`` in index bits,
+        and the label Pauli is ``i^{|x & z|} X^x Z^z``.
+        """
+        d = self.dim
+        q = np.array(self.elements, dtype=np.int64)
+        xq, zq = q >> self.n, q & (d - 1)
+        x, z = _index_bits(xq, self.n), _index_bits(zq, self.n)
+        src = np.arange(d)[None, :] ^ x[:, None]
+        signs = np.where(np.bitwise_count(src & z[:, None]) & 1, -1.0, 1.0)
+        phases = np.array(_PHASES)[np.bitwise_count(xq & zq) % 4]
+        return psi[src] * signs * (phases[:, None] / np.sqrt(d))
+
+
+def build_pauli_system(ops) -> PauliOperatorSystem:
+    """``S0 = span{P_a^* P_b} + C*I`` of a family of n-qubit Paulis, over GF(2).
+
+    As :func:`locc.algebra.build_operator_system` does for dense unitaries,
+    this validates the family: two members equal up to phase give the same
+    state, and the first such pair in row-major order is reported as
+    ``NotOrthogonalStates``.
+    """
+    ops = list(ops)
+    if not ops:
+        raise DimensionMismatch("need at least one Pauli")
+    n = ops[0].n
+    if any(op.n != n for op in ops):
+        raise DimensionMismatch("mixed qubit counts in Pauli family")
+    vecs = [(op.x << n) | op.z for op in ops]
+    first, pair = {}, None
+    for b, v in enumerate(vecs):
+        a = first.setdefault(v, b)
+        if a != b and (pair is None or a < pair[0]):
+            pair = (a, b)
+    if pair is not None:
+        raise overlap_error(*pair)
+    quotients = sorted({a ^ b for a in first for b in first})
+    return PauliOperatorSystem(n=n, elements=tuple(quotients), pivots=tuple(_pivots(quotients)))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locc import algebra, cli, io
+from locc import algebra, cli, graphs, io, pauli
 
 W = np.exp(2j * np.pi / 3)
 PAULIS = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
@@ -224,6 +224,113 @@ def test_each_command_builds_the_operator_system_once(tmp_path, capsys, monkeypa
         assert len(builds) == 1, argv
 
 
+def _write_labels(path, labels):
+    io.write_json(path, {"kind": "pauli_labels", "n": len(labels[0]), "labels": labels})
+    return path
+
+
+def _count_dense_work(monkeypatch):
+    """Record each ``pauli.to_dense`` and ``algebra._quotient_system`` call."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    to_dense = counting("to_dense", pauli.to_dense)
+    for module in (pauli, io):
+        monkeypatch.setattr(module, "to_dense", to_dense)
+    monkeypatch.setattr(algebra, "_quotient_system", counting("S0", algebra._quotient_system))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ["II", "XX"],  # closed and abelian
+        ["IX", "II", "XI", "ZI"],  # not closed, not abelian
+        ["II", "IZ", "ZI", "ZZ", "XX"],  # closed, not abelian, no separating vector
+        ["III", "XII", "ZII", "YII"],  # closed, not abelian, a separating vector
+    ],
+    ids=["abelian", "not-closed", "refuted", "separated"],
+)
+def test_label_files_decide_over_gf2_as_their_dense_family(tmp_path, capsys, monkeypatch, labels):
+    calls = _count_dense_work(monkeypatch)
+    states = _write_labels(str(tmp_path / "labels.json"), labels)
+    dense = _write_unitaries(str(tmp_path / "dense.json"), [pauli.to_dense(pauli.from_label(s)) for s in labels])
+    cert = str(tmp_path / "cert.json")
+    for criterion in ("auto", "schmidt", "algebra"):
+        calls.clear()
+        code, record = _decide_json(capsys, states, "--criterion", criterion)
+        assert calls == [], criterion
+        dense_code, dense_record = _decide_json(capsys, dense, "--criterion", criterion)
+        for key in ("input", "kind", "timing_ms"):
+            del record[key], dense_record[key]
+        assert (code, record) == (dense_code, dense_record)
+        if record["certificate"] is not None:
+            io.write_json(cert, record["certificate"])
+            calls.clear()
+            assert cli.main(["verify", states, cert]) == 0
+            assert calls == []
+            capsys.readouterr()
+    for body in (
+        {"kind": "separating_vector", "vector": io.ket_json(np.ones(2 ** len(labels[0])))},
+        {"kind": "refuting_block", "m": 2, "n": 1},
+    ):
+        io.write_json(cert, body)
+        calls.clear()
+        assert cli.main(["verify", states, cert]) == cli.main(["verify", dense, cert])
+        assert calls == ["S0"]  # the dense file's run only
+
+
+def test_witness_certificates_on_a_label_file_use_the_dense_family(tmp_path, monkeypatch):
+    calls = _count_dense_work(monkeypatch)
+    states = _write_labels(str(tmp_path / "ix.json"), ["I", "X"])
+    cert = str(tmp_path / "ws.json")
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    for kets, code in (([[1, 0], [0, 1]], 0), ([plus, minus], 1)):
+        io.write_json(cert, {"kind": "witness_states", "states": [io.ket_json(k) for k in kets], "weights": [1, 1]})
+        calls.clear()
+        assert cli.main(["verify", states, cert]) == code
+        assert calls == ["to_dense", "to_dense"]
+
+
+def test_duplicate_labels_exit_4_naming_the_first_pair(tmp_path, capsys):
+    states = _write_labels(str(tmp_path / "dup.json"), ["X", "Z", "X", "Z"])
+    cert = str(tmp_path / "vec.json")
+    io.write_json(cert, {"kind": "separating_vector", "vector": io.ket_json([1, 0])})
+    message = "error: states 0 and 2 overlap: |tr(U_2^* U_0)|/d > tol\n"
+    for argv in (
+        ["decide", states],
+        ["decide", states, "--criterion", "schmidt"],
+        ["decide", states, "--criterion", "algebra"],
+        ["verify", states, cert],
+    ):
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", message)
+
+
+def test_yes_qubit_sender_decide_computes_each_gram_matrix_once(tmp_path, capsys, monkeypatch):
+    grams = []
+    overlaps = graphs._overlaps
+
+    def counted(vecs):
+        grams.append(len(vecs))
+        return overlaps(vecs)
+
+    monkeypatch.setattr(graphs, "_overlaps", counted)
+    path = str(tmp_path / "prod.json")
+    plus, minus = [[2**-0.5, 0], [2**-0.5, 0]], [[2**-0.5, 0], [-(2**-0.5), 0]]
+    states = [{"a": [1, 0], "b": [1, 0]}, {"a": [1, 0], "b": [0, 1]}, {"a": [0, 1], "b": plus}, {"a": [0, 1], "b": minus}]
+    io.write_json(path, {"kind": "product", "dA": 2, "dB": 2, "states": states})
+    code, record = _decide_json(capsys, path)
+    assert (code, record["certificate"]["kind"]) == (0, "one_way_protocol")
+    assert grams == [4, 4]
+
+
 def test_cc_on_graph_and_product_files(tmp_path, capsys):
     gpath = str(tmp_path / "c4.json")
     io.write_json(
@@ -273,6 +380,15 @@ def test_tolerance_resolution(tmp_path, capsys, monkeypatch):
     assert code == 0 and record["tol"] == 1e-6
     code, record = _decide_json(capsys, path, "--tol", "1e-8")
     assert record["tol"] == 1e-8  # the flag beats the environment
+
+    # a negative or NaN tolerance is bad input for every kind, label files included
+    labels = _write_labels(str(tmp_path / "labels.json"), ["I", "X"])
+    for states in (path, labels):
+        for tol in ("-1", "nan"):
+            assert cli.main(["decide", states, "--tol", tol]) == 4
+            assert capsys.readouterr().err == f"error: tolerance {float(tol)} is not a non-negative number\n"
+    monkeypatch.setenv("LOCC_TOL", "-1e-9")
+    assert cli.main(["verify", labels, labels]) == 4
 
 
 def test_usage_errors_exit_4(capsys):

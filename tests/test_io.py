@@ -193,3 +193,34 @@ def test_one_way_protocol_file_roundtrip(tmp_path, bell_pair_protocol):
     for a, b in zip(loaded.alice_povm, protocol.alice_povm):
         assert np.array_equal(a, b)
     loaded.validate(2, 2)
+
+
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ({"kind": "permutations", "d": 2, "perms": [[True, False], [0.0, 1.0]]}, "perms[0]"),
+        ({"kind": "permutations", "d": 2, "perms": [[0, 1], [1.0, 0.0]]}, "perms[1]"),
+        ({"kind": "permutations", "d": True, "perms": [[0]]}, '"d"'),
+        ({"kind": "pauli_labels", "n": True, "labels": ["X", "I"]}, '"n"'),
+        ({"kind": "max_entangled", "d": 1.0, "unitaries": [[[1]]]}, '"d"'),
+        ({"kind": "product", "dA": True, "dB": 1, "states": [{"a": [1], "b": [1]}]}, '"dA"'),
+        ({"kind": "product", "dA": 1, "dB": 1.0, "states": [{"a": [1], "b": [1]}]}, '"dB"'),
+        ({"kind": "graph", "vertices": True, "edges": []}, '"vertices"'),
+    ],
+)
+def test_integer_fields_reject_booleans_and_floats(tmp_path, capsys, body, field):
+    path = str(tmp_path / "s.json")
+    io.write_json(path, body)
+    with pytest.raises(FileFormatError) as exc:
+        io.load_graph_or_state_set(path)
+    assert f"{path}: {field}: expected an integer" in str(exc.value)
+    assert cli.main(["cc" if body["kind"] == "graph" else "decide", path]) == 4
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_refuting_block_sizes_must_be_integers(tmp_path):
+    path = str(tmp_path / "c.json")
+    for m, n, field in ((True, 1, '"m"'), (2, 1.0, '"n"'), (2, 0, '"n" must be a positive integer')):
+        io.write_json(path, {"kind": "refuting_block", "m": m, "n": n})
+        with pytest.raises(FileFormatError, match=field):
+            io.load_protocol_file(path)

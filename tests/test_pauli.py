@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from locc.errors import BadLabel, BadParams, DimensionMismatch, NonUnitary
+from locc.algebra import build_operator_system, decide_system, find_separating_vector
+from locc.errors import BadLabel, BadParams, DimensionMismatch, NonUnitary, NotOrthogonalStates
 from locc.pauli import (
     I,
     X,
     Y,
     Z,
     PauliOp,
+    PauliOperatorSystem,
     PauliSet,
+    build_pauli_system,
     commutes,
     conjugate_by,
     from_label,
@@ -169,3 +172,103 @@ def test_family_param_validation(bad_k):
         logical_pauli_set(2, bad_k)
     with pytest.raises(BadParams):
         lattice_indistinguishable_set(2, bad_k)
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) operator system against the dense one
+# ---------------------------------------------------------------------------
+
+
+def _criteria(system, seed):
+    """What the schmidt and algebra criteria read off ``system``, in the CLI's order."""
+    closure = system if system.closed_under_mult else system.closure()
+    out = {
+        "closed": system.closed_under_mult,
+        "abelian": system.is_abelian(),
+        "dim": system.system_dim,
+        "blocks": closure.decompose(seed).blocks,
+    }
+    if out["abelian"]:
+        out["outcome"] = "schmidt"
+        out["schmidt_vector"] = find_separating_vector(closure, seed=seed).vector
+    verdict = decide_system(system, seed=seed)
+    out["verdict"] = verdict.decision
+    out["blocks_of_verdict"] = verdict.decomposition.blocks
+    if verdict.certificate is not None:
+        out["vector"] = verdict.certificate.vector
+        out["block"] = verdict.certificate.block
+    out.setdefault("outcome", verdict.decision.value)
+    return out
+
+
+def _assert_same_criteria(ops, seed=0):
+    fast = _criteria(build_pauli_system(ops), seed)
+    dense = _criteria(build_operator_system([to_dense(op) for op in ops]), seed)
+    assert fast.keys() == dense.keys()
+    for key, value in dense.items():
+        if isinstance(value, np.ndarray) or value is None:
+            assert np.array_equal(fast[key], value) if value is not None else fast[key] is None, key
+        else:
+            assert fast[key] == value, key
+    return fast["outcome"]
+
+
+def _random_family(rng):
+    n = int(rng.integers(1, 5))
+    vecs = rng.integers(1 << (2 * n), size=int(rng.integers(2, 9)))
+    if rng.random() < 0.4:  # all of a random subgroup: S0 is closed
+        group = {0}
+        for v in vecs[: int(rng.integers(1, 4))]:
+            group |= {g ^ int(v) for g in group}
+        vecs = sorted(group)
+    vecs = list(dict.fromkeys(int(v) for v in vecs))
+    mask = (1 << n) - 1
+    return [PauliOp(n=n, x=v >> n, z=v & mask) for v in rng.permutation(vecs)]
+
+
+def test_gf2_system_matches_the_dense_system_on_random_families():
+    rng = np.random.default_rng(2024)
+    outcomes = {}
+    for seed in range(240):
+        outcome = _assert_same_criteria(_random_family(rng), seed)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    # every route the CLI can take was exercised
+    assert set(outcomes) == {"schmidt", "distinguishable", "indistinguishable", "criterion_not_applicable"}
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gf2_system_matches_the_dense_system_on_named_families(n):
+    for k in range(1, n + 1):
+        for family in (logical_pauli_set(n, k), lattice_indistinguishable_set(n, k)):
+            _assert_same_criteria(list(family))
+
+
+def test_images_are_the_dense_paulis_applied():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        system = PauliOperatorSystem.of_span(n, [int(v) for v in rng.integers(1 << (2 * n), size=3)])
+        psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        mask = (1 << n) - 1
+        dense = [
+            to_dense(from_label(PauliOp(n=n, x=q >> n, z=q & mask).label)) @ psi / np.sqrt(2**n)
+            for q in system.elements
+        ]
+        assert np.allclose(system.images(psi), dense, rtol=0, atol=1e-15)
+
+
+def test_duplicate_labels_name_the_pair_the_dense_check_names():
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        labels = ["".join(rng.choice(list("IXYZ"), size=2)) for _ in range(6)]
+        ops = [from_label(s) for s in labels]
+        if len(set(labels)) == len(labels):
+            build_pauli_system(ops)
+            continue
+        with pytest.raises(NotOrthogonalStates) as fast:
+            build_pauli_system(ops)
+        with pytest.raises(NotOrthogonalStates) as dense:
+            build_operator_system([to_dense(op) for op in ops])
+        assert str(fast.value) == str(dense.value)
+    with pytest.raises(NotOrthogonalStates, match=r"^states 0 and 2 overlap: \|tr\(U_2\^\* U_0\)\|/d > tol$"):
+        build_pauli_system([from_label(s) for s in ("X", "Z", "X", "Z")])
