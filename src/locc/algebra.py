@@ -45,38 +45,53 @@ _SAMPLE_RETRIES = 20
 
 
 # ---------------------------------------------------------------------------
-# span utilities (vectorized matrices as rows)
+# span utilities
 # ---------------------------------------------------------------------------
+#
+# Every operator system here is closed under adjoints, so it is the complex
+# span of its Hermitian elements, and its basis is built Hermitian.  For
+# Hermitian H and K, tr(H^* K) = tr(HK) is real, so a basis orthonormal over
+# the reals is orthonormal for the trace inner product too.  The builder
+# works on real rows [Re vec H, Im vec H], whose dot product is tr(HK).
 
 
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row span, rank cut at RANK_RTOL."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return vh[:0]
-    return vh[s > s[0] * RANK_RTOL]
+def _real_rows(mats: np.ndarray) -> np.ndarray:
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2])
+    return np.concatenate([flat.real, flat.imag], axis=1)
+
+
+def _hermitian_parts(q: np.ndarray) -> np.ndarray:
+    """Real rows of ``(Q + Q^*)/2`` and ``(Q - Q^*)/2i``: together they span ``Q`` and ``Q^*``."""
+    adj = np.conj(q.transpose(0, 2, 1))
+    return _real_rows(np.concatenate([(q + adj) / 2, (q - adj) / 2j]))
+
+
+def _extend(rows: np.ndarray, cands: np.ndarray, cut: float) -> np.ndarray:
+    """``rows`` followed by orthonormal rows completing the span of ``cands``.
+
+    Block Gram-Schmidt: the residual of ``cands`` against the orthonormal
+    ``rows`` is taken in two projection passes, dropping candidates whose
+    residual norm is at most ``cut``; an SVD of what is left, cut at ``cut``,
+    gives the new rows.
+    """
+    for _ in range(2):
+        cands = cands - (cands @ rows.T) @ rows
+        cands = cands[np.linalg.norm(cands, axis=1) > cut]
+    if not cands.shape[0]:
+        return rows
+    _, s, vh = np.linalg.svd(cands, full_matrices=False)
+    return np.concatenate([rows, vh[s > cut]])
+
+
+def _complex_basis(rows: np.ndarray, d: int) -> np.ndarray:
+    """The ``(D, d, d)`` Hermitian matrices of real rows."""
+    return (rows[:, : d * d] + 1j * rows[:, d * d :]).reshape(-1, d, d)
 
 
 def _residual_norms(rows: np.ndarray, basis_rows: np.ndarray) -> np.ndarray:
     """Norm of each row's component orthogonal to the span of basis_rows."""
-    if basis_rows.shape[0] == 0:
-        return np.linalg.norm(rows, axis=1)
     proj = (rows @ basis_rows.conj().T) @ basis_rows
     return np.linalg.norm(rows - proj, axis=1)
-
-
-def _pairwise_product_rows(basis: np.ndarray, chunk: int = 2048):
-    """Yield vectorized products B_a @ B_b in row chunks of bounded size.
-
-    For an orthonormal basis every product has norm <= ||B_a||_op <= 1, so
-    the rows need no rescaling before an absolute residual test.
-    """
-    dim_a = basis.shape[0]
-    d = basis.shape[1]
-    per = max(1, chunk // dim_a)
-    for start in range(0, dim_a, per):
-        block = basis[start : start + per, None]  # (p, 1, d, d)
-        yield (block @ basis).reshape(-1, d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +101,10 @@ def _pairwise_product_rows(basis: np.ndarray, chunk: int = 2048):
 
 @dataclass
 class OperatorSystem:
-    """An adjoint-closed, unital subspace of ``M_d`` with orthonormal basis.
+    """An adjoint-closed, unital subspace of ``M_d`` with a Hermitian orthonormal basis.
 
-    ``basis`` has shape ``(D, d, d)``; its elements are orthonormal for the
-    trace inner product ``<A, B> = tr(A^* B)``.
+    ``basis`` has shape ``(D, d, d)``; its elements are Hermitian and
+    orthonormal for the trace inner product ``<A, B> = tr(A^* B)``.
     """
 
     dim: int
@@ -135,35 +150,35 @@ class OperatorSystem:
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise DimensionMismatch("matrices must share a square shape")
-        rows = np.stack([m.ravel() for m in mats])
-        return cls._from_orthonormal_rows(_orthonormal_rows(rows), d)
-
-    @classmethod
-    def _from_orthonormal_rows(cls, basis_rows: np.ndarray, d: int) -> "OperatorSystem":
-        """Check and wrap rows that already are an orthonormal basis of the span."""
-        basis = basis_rows.reshape(-1, d, d)
-        # the span must be closed under adjoints for the theory to apply; the
-        # last probe row is the identity
-        adj_rows = np.conj(basis.transpose(0, 2, 1)).reshape(-1, d * d)
-        residuals = _residual_norms(np.concatenate([adj_rows, np.eye(d).reshape(1, -1)]), basis_rows)
-        if residuals[:-1].max() > RANK_RTOL * np.sqrt(d):
+        stack = np.stack(mats)
+        # the span is adjoint-closed iff the Hermitian parts of mats span no more than mats
+        s = np.linalg.svd(stack.reshape(len(stack), -1), compute_uv=False)
+        cut = float(s[0]) * RANK_RTOL
+        rows = _extend(np.zeros((0, 2 * d * d)), _hermitian_parts(stack), cut)
+        if rows.shape[0] > np.count_nonzero(s > cut):
             raise NotAnAlgebra("span is not closed under adjoints")
-        has_id = float(residuals[-1]) <= RANK_RTOL * np.sqrt(d)
-        return cls(
-            dim=d,
-            basis=basis,
-            contains_identity=has_id,
-            closed_under_mult=_closed_under_mult(basis),
-        )
+        basis = _complex_basis(rows, d)
+        identity = np.eye(d, dtype=complex).reshape(1, -1)
+        has_id = float(_residual_norms(identity, basis.reshape(-1, d * d))[0]) <= RANK_RTOL * np.sqrt(d)
+        return cls(dim=d, basis=basis, contains_identity=has_id, closed_under_mult=_closed_under_mult(basis))
 
 
 def _closed_under_mult(basis: np.ndarray) -> bool:
+    """Whether the span of a Hermitian orthonormal basis is closed under products.
+
+    ``(H_a H_b)^* = H_b H_a``, and the residual against an adjoint-closed span
+    commutes with the adjoint, so the products with ``a <= b`` decide it: one
+    batched product per ``a``.  Each product has norm at most 1, so the
+    residual test is absolute.
+    """
     d = basis.shape[1]
     if basis.shape[0] == d * d:  # the span is all of M_d
         return True
     rows = basis.reshape(basis.shape[0], -1)
-    for chunk in _pairwise_product_rows(basis):
-        if (_residual_norms(chunk, rows) > RANK_RTOL).any():
+    rows_h = rows.conj().T
+    for a in range(basis.shape[0]):
+        prods = (basis[a] @ basis[a:]).reshape(-1, d * d)
+        if (np.linalg.norm(prods - (prods @ rows_h) @ rows, axis=1) > RANK_RTOL).any():
             return False
     return True
 
@@ -181,49 +196,52 @@ def build_operator_system(unitaries, tol: float = DEFAULT_TOL) -> OperatorSystem
 
 
 def _quotient_system(us: np.ndarray) -> OperatorSystem:
-    """Span of the quotients of a validated, mutually orthogonal stack."""
-    # Reduce the up-to-r*(r-1) pairwise quotients incrementally instead of
-    # stacking them all: per anchor a, one batched product U_a^* U_b (b > a)
-    # together with its adjoints U_b^* U_a; keep only rows that grow the span,
-    # and stop once the span is all of M_d.  Each quotient is unitary, so its
-    # norm (the residual scale) is sqrt(d).  While the span holds only the
-    # identity, the SVD alone sorts the first batch.
+    """Span of the quotients of a validated, mutually orthogonal stack.
+
+    Per anchor ``a``, one batched product ``U_a^* U_b`` (``b > a``) adds the
+    Hermitian parts of the quotients that grow the span; each quotient is
+    unitary, so its norm (the residual scale) is ``sqrt(d)``.  With
+    ``V_a = U_0^* U_a`` every quotient is ``U_a^* U_b = V_a^* V_b``, so when
+    the span of anchor 0 is closed under products it is all of ``S0``, and
+    its closure test is the final one.
+    """
     d = us.shape[1]
-    basis_rows = np.eye(d, dtype=complex).reshape(1, -1) / np.sqrt(d)
-    for a in range(len(us) - 1):
-        if basis_rows.shape[0] == d * d:
-            break
-        prods = adjoint(us[a]) @ us[a + 1 :]
-        rows = np.concatenate([prods, np.conj(prods.transpose(0, 2, 1))]).reshape(-1, d * d)
-        if a:
-            rows = rows[_residual_norms(rows, basis_rows) > RANK_RTOL * np.sqrt(d)]
-        if rows.shape[0]:
-            basis_rows = _orthonormal_rows(np.concatenate([basis_rows, rows]))
-    return OperatorSystem._from_orthonormal_rows(basis_rows, d)
+    cut = RANK_RTOL * np.sqrt(d)
+    identity = _real_rows(np.eye(d)[None] / np.sqrt(d))
+    rows = _extend(identity, _hermitian_parts(adjoint(us[0]) @ us[1:]), cut)
+    basis = _complex_basis(rows, d)
+    closed = _closed_under_mult(basis)
+    if not closed:
+        grown = rows
+        for a in range(1, len(us) - 1):
+            if grown.shape[0] == d * d:
+                break
+            grown = _extend(grown, _hermitian_parts(adjoint(us[a]) @ us[a + 1 :]), cut)
+        if grown.shape[0] > rows.shape[0]:
+            basis = _complex_basis(grown, d)
+            closed = _closed_under_mult(basis)
+    return OperatorSystem(dim=d, basis=basis, contains_identity=True, closed_under_mult=closed)
 
 
 def algebra_closure(system: OperatorSystem) -> OperatorSystem:
     """Smallest multiplicatively closed operator system containing ``system``.
 
-    Adjoins pairwise products and re-spans until the dimension stabilizes;
-    the loop terminates because the dimension is bounded by ``d**2``.
+    Adjoins the Hermitian parts of the products ``H_a H_b`` (``a <= b``, which
+    also cover ``H_b H_a``) until the dimension stops growing; it is bounded
+    by ``d**2``, so the loop ends.  Products of orthonormal elements have
+    norm at most 1, so the cut is absolute.
     """
-    d = system.dim
-    basis = system.basis
-    for _ in range(d * d + 1):
-        if basis.shape[0] == d * d:
-            break
-        rows = basis.reshape(basis.shape[0], -1)
+    d, basis = system.dim, system.basis
+    rows = _real_rows(basis)
+    while rows.shape[0] < d * d:
         grown = rows
-        added = False
-        for chunk in _pairwise_product_rows(basis):
-            fresh = chunk[_residual_norms(chunk, grown) > RANK_RTOL]
-            if fresh.shape[0]:
-                grown = _orthonormal_rows(np.vstack([grown, fresh]))
-                added = True
-        if not added:
+        for a in range(len(basis)):
+            if grown.shape[0] == d * d:
+                break
+            grown = _extend(grown, _hermitian_parts(basis[a] @ basis[a:]), RANK_RTOL)
+        if grown.shape[0] == rows.shape[0]:
             break
-        basis = grown.reshape(-1, d, d)
+        rows, basis = grown, _complex_basis(grown, d)
     return OperatorSystem(
         dim=d,
         basis=basis,

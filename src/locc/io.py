@@ -79,15 +79,40 @@ def _count(obj: dict, key: str, path: str, least: int = 1) -> int:
     return value
 
 
+def _as_pairs(obj, ndim: int) -> np.ndarray | None:
+    """``obj`` as a complex array of ``ndim - 1`` axes if it is one of finite
+    ``[re, im]`` pairs, else None.
+
+    One ``np.asarray`` reads the whole array; the dtype is inspected rather
+    than forced, since forcing it would read the string ``"1"`` as a number.
+    """
+    try:
+        arr = np.asarray(obj)
+    except (ValueError, TypeError):  # ragged, or pairs mixed with bare reals
+        return None
+    if arr.dtype.kind not in "biuf" or arr.ndim != ndim or arr.shape[-1] != 2:
+        return None
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(np.complex128)[..., 0]
+
+
 def as_ket(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         _fail(where, "expected a non-empty array of complex entries")
+    fast = _as_pairs(obj, 2)
+    if fast is not None:
+        return fast
     return np.array([as_complex(x, f"{where}[{i}]") for i, x in enumerate(obj)])
 
 
 def as_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         _fail(where, "expected a non-empty array of rows")
+    fast = _as_pairs(obj, 3)
+    if fast is not None:
+        return fast
     rows = [as_ket(r, f"{where}[{i}]") for i, r in enumerate(obj)]
     if any(r.size != rows[0].size for r in rows):
         _fail(where, "rows have unequal lengths")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from locc import algebra
 from locc.algebra import (
+    RANK_RTOL,
     OperatorSystem,
     algebra_closure,
     build_operator_system,
@@ -24,7 +26,17 @@ from locc.errors import (
     NotPermutation,
     ZeroVector,
 )
-from locc.pauli import I, X, Y, Z
+from locc.oracles import haar_unitary
+from locc.pauli import (
+    I,
+    X,
+    Y,
+    Z,
+    build_pauli_system,
+    lattice_indistinguishable_set,
+    logical_pauli_set,
+    to_dense,
+)
 
 W = np.exp(2j * np.pi / 3)
 SHIFT3 = permutation_matrix([1, 2, 0])
@@ -46,7 +58,7 @@ def test_build_operator_system_from_paulis():
 
 
 def test_operator_system_requires_adjoint_closure():
-    with pytest.raises(NotAnAlgebra):
+    with pytest.raises(NotAnAlgebra, match="span is not closed under adjoints"):
         OperatorSystem.from_matrices([np.eye(2), _unit(2, 0, 1)])
 
 
@@ -237,3 +249,123 @@ def test_check_simultaneous_schmidt():
     # distinguishable
     with pytest.raises(NotOrthogonalStates):
         check_simultaneous_schmidt([I, np.diag([1.0, 1.0j])])
+
+
+def _counted(monkeypatch, name):
+    """Calls of ``algebra.<name>``, one entry (the first argument) per call."""
+    calls, fn = [], getattr(algebra, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(algebra, name, counted)
+    return calls
+
+
+def _z4z8_translations(rng, count):
+    """``count`` distinct translations of Z4 x Z8 as permutation matrices of C^32."""
+    points = [(x, y) for x in range(4) for y in range(8)]
+    chosen = rng.choice(len(points), size=count, replace=False)
+    mats = []
+    for i, j in (points[c] for c in chosen):
+        mats.append(permutation_matrix([((x + i) % 4) * 8 + (y + j) % 8 for x, y in points]))
+    return mats, [points[c] for c in chosen]
+
+
+def test_closed_anchor_zero_span_is_all_of_s0(monkeypatch):
+    # With V_a = U_0^* U_a every quotient is V_a^* V_b, so a closed span of
+    # anchor 0's quotients is S0: one batch of quotients, one closure test.
+    family = logical_pauli_set(5, 4)
+    batches = _counted(monkeypatch, "_hermitian_parts")
+    tests = _counted(monkeypatch, "_closed_under_mult")
+    system = build_operator_system([to_dense(op) for op in family])
+    assert [len(q) for q in batches] == [255]
+    assert len(tests) == 1
+    reference = build_pauli_system(list(family))
+    assert (system.system_dim, system.closed_under_mult) == (256, True)
+    assert (reference.system_dim, reference.closed_under_mult) == (256, True)
+
+
+def test_open_anchor_zero_span_still_reaches_s0(monkeypatch):
+    rng = np.random.default_rng(5)
+    lattice = lattice_indistinguishable_set(5, 3)
+    perms, points = _z4z8_translations(rng, 16)
+    # S0 of translations is spanned by the translations by the differences,
+    # and it is closed iff those differences form a subgroup
+    diffs = {((a[0] - b[0]) % 4, (a[1] - b[1]) % 8) for a in points for b in points}
+    closed = all(((p[0] + q[0]) % 4, (p[1] + q[1]) % 8) in diffs for p in diffs for q in diffs)
+    pauli = build_pauli_system(list(lattice))
+    for family, expected in (
+        ([to_dense(op) for op in lattice], (pauli.system_dim, pauli.closed_under_mult)),
+        (perms, (len(diffs), closed)),
+    ):
+        batches = _counted(monkeypatch, "_hermitian_parts")
+        system = build_operator_system(family)
+        assert len(batches) > 1  # the span of anchor 0 alone was not closed
+        assert (system.system_dim, system.closed_under_mult) == expected
+        monkeypatch.undo()
+
+
+def test_two_state_family_tests_closure_once(monkeypatch):
+    tests = _counted(monkeypatch, "_closed_under_mult")
+    svds = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert decide_by_algebra([I, X]).decision is Decision.DISTINGUISHABLE
+    assert len(tests) == 1
+    # one orthonormalizes the quotients, one tests the sampled vector
+    assert len(svds) == 2
+
+
+def _brute_force_closed(system) -> bool:
+    """Every ordered product of basis elements lies in the span."""
+    basis, rows = system.basis, system.rows
+    prods = np.einsum("aij,bjk->abik", basis, basis).reshape(-1, rows.shape[1])
+    residual = prods - (prods @ rows.conj().T) @ rows
+    return bool(np.linalg.norm(residual, axis=1).max() <= RANK_RTOL)
+
+
+def _hermitian_defect(system) -> float:
+    return float(np.abs(system.basis - system.basis.conj().transpose(0, 2, 1)).max())
+
+
+def test_hermitian_bases_and_closure_tests_match_brute_force(random_block_algebra):
+    rng = np.random.default_rng(77)
+    systems = []
+    for _ in range(12):
+        count = int(rng.integers(1, 3))
+        blocks = tuple((int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(count))
+        mats = random_block_algebra(rng, blocks)
+        systems.append(OperatorSystem.from_matrices(mats))  # closed
+        # a random subset with its adjoints and the identity: often not closed
+        picks = rng.choice(len(mats), size=max(1, len(mats) // 3), replace=False)
+        part = [mats[int(k)] for k in picks]
+        adjoints = [m.conj().T for m in part]
+        systems.append(OperatorSystem.from_matrices([np.eye(len(mats[0])), *part, *adjoints]))
+    for d in (2, 3, 4):
+        for r in (2, 3, 4):
+            # Haar-conjugated clock-and-shift subsets: mutually orthogonal unitaries
+            u = haar_unitary(d, rng)
+            shift, clock = np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+            powers = [np.linalg.matrix_power(m, k) for m in (shift, clock) for k in range(d)]
+            weyl = [a @ b for a in powers[:d] for b in powers[d:]]
+            family = [u @ weyl[int(k)] @ u.conj().T for k in rng.choice(d * d, size=r, replace=False)]
+            systems.append(build_operator_system(family))
+    # both outcomes from both constructors
+    assert {s.closed_under_mult for s in systems[:24]} == {True, False}
+    assert {s.closed_under_mult for s in systems[24:]} == {True, False}
+    for system in systems:
+        assert _hermitian_defect(system) <= 1e-12
+        assert np.allclose(system.rows @ system.rows.conj().T, np.eye(system.system_dim), atol=1e-12)
+        assert system.closed_under_mult == _brute_force_closed(system)
+        if not system.closed_under_mult:
+            closure = algebra_closure(system)
+            assert _hermitian_defect(closure) <= 1e-12
+            assert closure.closed_under_mult and _brute_force_closed(closure)
+            assert closure.system_dim > system.system_dim

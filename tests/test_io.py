@@ -224,3 +224,83 @@ def test_refuting_block_sizes_must_be_integers(tmp_path):
         io.write_json(path, {"kind": "refuting_block", "m": m, "n": n})
         with pytest.raises(FileFormatError, match=field):
             io.load_protocol_file(path)
+
+
+def _per_entry(monkeypatch):
+    """Route ``as_ket`` / ``as_matrix`` through the per-entry parser only."""
+    monkeypatch.setattr(io, "_as_pairs", lambda obj, ndim: None)
+
+
+def test_array_parsing_matches_the_per_entry_path(monkeypatch):
+    rng = np.random.default_rng(31)
+    kets, matrices = [], []
+    for d in (1, 2, 5, 16):
+        kets.append(io.ket_json(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+        kets.append([[int(a), int(b)] for a, b in rng.integers(-3, 4, size=(d, 2))])
+        matrices.append(io.matrix_json(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+        matrices.append(io.matrix_json(np.eye(d)))
+    kets += [[[True, 0], [0.5, False]], [[-0.0, -0.0]], [[2**62 + 1, 0]], [[1, 0], [0, 1]]]
+    matrices += [[[[1, 0]]], [[[True, 0], [0, -1.5]], [[2, 3], [0.25, 0]]]]
+    fast = [io.as_ket(k, "k") for k in kets] + [io.as_matrix(m, "m") for m in matrices]
+    _per_entry(monkeypatch)
+    slow = [io.as_ket(k, "k") for k in kets] + [io.as_matrix(m, "m") for m in matrices]
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype == complex and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+_MALFORMED_KETS = [
+    ([[1, 0], ["a", 0]], "expected [re, im], got ['a', 0]"),
+    ([[1, 0], ["1", 0]], "expected [re, im], got ['1', 0]"),  # a number only if forced
+    ([[1, 0], [float("nan"), 0]], "[nan, 0] is not a finite number"),
+    ([[1, 0], [0, float("inf")]], "[0, inf] is not a finite number"),
+    ([[1, 0], [1e400, 0]], "[inf, 0] is not a finite number"),  # how JSON reads 1e400
+    ([[1, 0], [10**400, 0]], f"[{10**400}, 0] is not a finite number"),
+    ([[1, 0], [0, 1, 2]], "expected [re, im], got [0, 1, 2]"),
+    ([[1, 0], [None, 0]], "expected [re, im], got [None, 0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "ket, msg",
+    _MALFORMED_KETS,
+    ids=["string", "numeric-string", "nan", "infinity", "1e400", "huge-int", "extra", "null"],
+)
+def test_malformed_entries_keep_their_messages(monkeypatch, ket, msg):
+    for per_entry in (False, True):
+        if per_entry:
+            _per_entry(monkeypatch)
+        with pytest.raises(FileFormatError) as exc:
+            io.as_ket(ket, "v")
+        assert str(exc.value) == f"v[1]: {msg}"
+        with pytest.raises(FileFormatError) as exc:
+            io.as_matrix([[[1, 0], [0, 0]], ket], "m")
+        assert str(exc.value) == f"m[1][1]: {msg}"
+
+
+@pytest.mark.parametrize(
+    "matrix, msg",
+    [
+        ([[[1, 0], [0, 0]], [[1, 0]]], "m: rows have unequal lengths"),
+        ([[[1, 0]], []], "m[1]: expected a non-empty array of complex entries"),
+        ([[1, 0], [1]], "m: rows have unequal lengths"),
+    ],
+    ids=["ragged", "empty-row", "ragged-reals"],
+)
+def test_malformed_matrices_keep_their_messages(monkeypatch, matrix, msg):
+    for per_entry in (False, True):
+        if per_entry:
+            _per_entry(monkeypatch)
+        with pytest.raises(FileFormatError) as exc:
+            io.as_matrix(matrix, "m")
+        assert str(exc.value) == msg
+
+
+def test_bare_reals_and_pairs_may_mix(monkeypatch):
+    ket, matrix = [1, [0, 1], 2.5], [[1, 0], [[0, 1], [2, 0]]]
+    fast = io.as_ket(ket, "v"), io.as_matrix(matrix, "m")
+    _per_entry(monkeypatch)
+    slow = io.as_ket(ket, "v"), io.as_matrix(matrix, "m")
+    assert np.array_equal(fast[0], [1, 1j, 2.5]) and np.array_equal(fast[0], slow[0])
+    assert np.array_equal(fast[1], [[1, 0], [1j, 2]]) and np.array_equal(fast[1], slow[1])
