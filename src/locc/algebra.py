@@ -123,7 +123,7 @@ class OperatorSystem:
     # the interface the criteria use, shared with pauli.PauliOperatorSystem
 
     def closure(self) -> "OperatorSystem":
-        return algebra_closure(self)
+        return self if self.closed_under_mult else algebra_closure(self)
 
     def is_abelian(self, tol: float = DEFAULT_TOL) -> bool:
         return is_abelian(self, tol)
@@ -190,9 +190,18 @@ def build_operator_system(unitaries, tol: float = DEFAULT_TOL) -> OperatorSystem
     family is validated: its members must be unitary and its states mutually
     orthogonal (``NotOrthogonalStates`` otherwise).
     """
+    return _quotient_system(validated_unitaries(unitaries, tol))
+
+
+def validated_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The family stacked as ``(r, d, d)``, once it is unitary and its states are orthogonal.
+
+    This is the validation of :func:`build_operator_system` without the
+    span, for checks that need no ``S0``.
+    """
     us = require_unitaries(unitaries, tol)
     _require_orthogonal(us, tol)
-    return _quotient_system(us)
+    return us
 
 
 def _quotient_system(us: np.ndarray) -> OperatorSystem:

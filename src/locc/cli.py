@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import io
-from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating
+from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating, validated_unitaries
 from .core import DEFAULT_TOL, Decision
 from .errors import BadParams, LoccError, NotOrthogonalStates
 from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
@@ -114,7 +114,7 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float,
     if name == "schmidt":
         if not system.is_abelian(tol):
             return None, None, "no simultaneous Schmidt decomposition"
-        closure = system if system.closed_under_mult else system.closure()
+        closure = system.closure()
         cert = find_separating_vector(closure, seed=seed, tol=tol)
         return (
             Decision.DISTINGUISHABLE,
@@ -249,16 +249,16 @@ def _verify(sfile: io.StateSetFile, pfile: io.ProtocolFile, tol: float) -> tuple
             raise BadParams(f"certificate kind {kind!r} applies to unitary state sets")
 
         if kind == "witness_states":
-            ok = verify_witness_states(pfile.weighted_states, sfile.unitaries, tol)
+            ok = verify_witness_states(pfile.weighted_states, validated_unitaries(sfile.unitaries, tol), tol)
             return ok, "weighted states kill all off-diagonal quotients" if ok else "a quotient has a nonzero diagonal term"
 
         if kind == "witness_isometry":
-            ok = verify_witness_isometry(pfile.isometry, sfile.unitaries, tol)
+            ok = verify_witness_isometry(pfile.isometry, validated_unitaries(sfile.unitaries, tol), tol)
             return ok, "isometry kills all quotient diagonals" if ok else "a quotient diagonal does not vanish"
 
         system = sfile.operator_system(tol)
         if kind == "separating_vector":
-            closure = system if system.closed_under_mult else system.closure()
+            closure = system.closure()
             if not is_separating(closure, pfile.vector, tol):
                 return False, "the vector does not separate the operator system"
             if system.closed_under_mult:

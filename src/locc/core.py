@@ -330,11 +330,9 @@ class StateSet:
     @classmethod
     def from_unitaries(cls, unitaries, tol: float = DEFAULT_TOL) -> "StateSet":
         """States ``(I (x) U_i)|Phi>`` on ``C^d (x) C^d``."""
-        kets = tuple(max_entangled(u, tol) for u in unitaries)
-        if not kets:
-            raise DimensionMismatch("need at least one unitary")
-        d = int(round(np.sqrt(kets[0].size)))
-        return cls(dA=d, dB=d, kets=kets, kind="max_entangled")
+        us = require_unitaries(unitaries, tol)
+        d = us.shape[1]
+        return cls(dA=d, dB=d, kets=tuple(max_entangled(u, tol) for u in us), kind="max_entangled")
 
     def __len__(self) -> int:
         return len(self.kets)

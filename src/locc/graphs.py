@@ -8,13 +8,13 @@ Mutual orthogonality of the products is exactly ``G_A <= complement(G_B)``.
 Distinguishability by one-way LOCC (Alice first) is controlled by clique
 covers of graphs sandwiched between ``G_A`` and ``complement(G_B)``; with a
 two-dimensional sender the threshold is a cover by two cliques, decided here
-by a pruned search over vertex assignments.
+as 2-satisfiability by one unit-propagation pass over vertex assignments.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -391,6 +391,7 @@ class ProductStateSet:
 
     alice: tuple
     bob: tuple
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = DEFAULT_TOL) -> "ProductStateSet":
@@ -422,7 +423,9 @@ class ProductStateSet:
         return len(self.alice)
 
     # each side's overlaps come from one Gram product per set, which every
-    # graph and the orthogonality check threshold
+    # graph and the orthogonality check threshold; each graph is thresholded
+    # once per tol, so a decide and the checks of its certificate share it
+    # and its near-threshold warning is raised once
 
     @cached_property
     def alice_overlaps(self) -> np.ndarray:
@@ -433,10 +436,14 @@ class ProductStateSet:
         return _overlaps(self.bob)
 
     def graph_alice(self, tol: float = DEFAULT_TOL) -> Graph:
-        return _threshold(self.alice_overlaps, tol)
+        if ("A", tol) not in self._graphs:
+            self._graphs["A", tol] = _threshold(self.alice_overlaps, tol)
+        return self._graphs["A", tol]
 
     def graph_bob(self, tol: float = DEFAULT_TOL) -> Graph:
-        return _threshold(self.bob_overlaps, tol)
+        if ("B", tol) not in self._graphs:
+            self._graphs["B", tol] = _threshold(self.bob_overlaps, tol)
+        return self._graphs["B", tol]
 
     def orthogonality_defect(self) -> float:
         """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs (NaN if any is NaN)."""
@@ -447,7 +454,8 @@ class ProductStateSet:
         return StateSet(dA=self.dA, dB=self.dB, kets=kets, kind="product")
 
 
-def _require_orthogonal(s: ProductStateSet, tol: float) -> None:
+def require_orthogonal(s: ProductStateSet, tol: float = DEFAULT_TOL) -> None:
+    """Raise ``NotOrthogonalStates`` unless the product states are mutually orthogonal."""
     defect = s.orthogonality_defect()
     if not defect <= tol:  # NaN fails too
         raise NotOrthogonalStates(f"largest product overlap {defect:.3e} exceeds tol")
@@ -479,7 +487,7 @@ def verify_product_protocol(
     stack = np.stack(s.alice)
     if np.linalg.matrix_rank(stack, tol=1e-7 * float(np.linalg.norm(stack))) < s.dA:
         raise NotSpanning("Alice's local states must span her whole space")
-    _require_orthogonal(s, tol)
+    require_orthogonal(s, tol)
     if len(povm) != len(cover.parts):
         raise DimensionMismatch("need exactly one POVM element per cover part")
     if povm.dim != s.dA:
@@ -528,53 +536,56 @@ class QubitSenderVerdict:
     graph_bob: Graph
 
 
+def _union(nbrs, mask: int) -> int:
+    """The union of ``nbrs[v]`` over the set bits ``v`` of ``mask``."""
+    out = 0
+    for v in _bits(mask):
+        out |= nbrs[v]
+    return out
+
+
 def _two_clique_assignment(ga: Graph, gb: Graph) -> tuple[frozenset, frozenset] | None:
     """First vertex assignment to {V1, V2, both} satisfying all constraints.
 
     Vertices are assigned in index order with choices ordered V1-only,
     V2-only, both, so the returned pair is deterministic (the
     lexicographically least valid assignment under that choice order).  The
-    depth-first search keeps its state in ``assign`` and two membership
-    masks instead of the call stack, so it runs at any vertex count.
+    constraints are a 2-CNF, so a choice whose unit propagation meets no
+    conflict leaves only untouched clauses of a satisfiable formula (Even,
+    Itai and Shamir, SIAM J. Comput. 5(4), 1976): each vertex keeps the
+    first such choice, none is undone, and the pass takes O(r^2) mask steps.
     """
-    r = ga.vertex_count
     a_nbrs, b_nbrs = ga.nbrs, gb.nbrs
-    assign = [0] * r  # 1 = V1 only, 2 = V2 only, 3 = both; 0 = not yet tried
-    in_v1 = in_v2 = 0  # membership masks of the vertices before v
-    v = 0
-    while v < r:
-        bit = 1 << v
-        in_v1 &= ~bit
-        in_v2 &= ~bit
-        earlier = bit - 1
-        a_before, b_before = a_nbrs[v] & earlier, b_nbrs[v] & earlier
-        c = assign[v] + 1
-        while c <= 3:
-            # no part may contain a G_B edge, and every G_A edge to an
-            # earlier vertex must lie inside a part holding both ends
-            if not (
-                (c & 1 and b_before & in_v1)
-                or (c & 2 and b_before & in_v2)
-                or (c == 1 and a_before & ~in_v1)
-                or (c == 2 and a_before & ~in_v2)
-            ):
-                break
-            c += 1
-        if c > 3:
-            assign[v] = 0
-            if v == 0:
+
+    def propagate(x1, x0, y1, y0, nx1, nx0, ny1, ny0):
+        # x_v (y_v) means v is in V1 (V2).  x_v=1 forces x=0 on v's G_B
+        # neighbours, and x_v=0 forces y=1 on v and its G_A neighbours; the
+        # same holds with x and y swapped.  None on a conflict.
+        while True:
+            nx1, nx0, ny1, ny0 = nx1 & ~x1, nx0 & ~x0, ny1 & ~y1, ny0 & ~y0
+            if not nx1 | nx0 | ny1 | ny0:
+                return x1, x0, y1, y0
+            x1, x0, y1, y0 = x1 | nx1, x0 | nx0, y1 | ny1, y0 | ny0
+            if x1 & x0 or y1 & y0:
                 return None
-            v -= 1
-            continue
-        assign[v] = c
-        if c & 1:
-            in_v1 |= bit
-        if c & 2:
-            in_v2 |= bit
-        v += 1
-    v1 = frozenset(v for v in range(r) if assign[v] & 1)
-    v2 = frozenset(v for v in range(r) if assign[v] & 2)
-    return v1, v2
+            nx1, nx0, ny1, ny0 = (
+                ny0 | _union(a_nbrs, ny0),
+                _union(b_nbrs, nx1),
+                nx0 | _union(a_nbrs, nx0),
+                _union(b_nbrs, ny1),
+            )
+
+    forced = (0, 0, 0, 0)  # the masks x=1, x=0, y=1, y=0
+    for v in range(ga.vertex_count):
+        bit = 1 << v
+        for choice in ((bit, 0, 0, bit), (0, bit, bit, 0), (bit, 0, bit, 0)):
+            found = propagate(*forced, *choice)
+            if found is not None:
+                forced = found
+                break
+        else:
+            return None
+    return frozenset(_bits(forced[0])), frozenset(_bits(forced[2]))
 
 
 def decide_qubit_sender(s: ProductStateSet, tol: float = DEFAULT_TOL) -> QubitSenderVerdict:
@@ -584,33 +595,21 @@ def decide_qubit_sender(s: ProductStateSet, tol: float = DEFAULT_TOL) -> QubitSe
     distinguishable iff some graph between ``G_A`` and ``complement(G_B)``
     has a cover by at most two cliques -- equivalently, iff the vertices can
     be assigned to two sets, each independent in ``G_B``, jointly covering
-    all vertices, with every ``G_A`` edge inside one set.  The search is a
-    pruned DFS over per-vertex assignments.
+    all vertices, with every ``G_A`` edge inside one set.  Those constraints
+    are a 2-CNF, decided by one unit-propagation pass over the vertices.
 
     All-parallel Alice factors are allowed (orthogonality then forces
     ``G_B`` to be empty and Bob can do everything alone).
     """
     if s.dA != 2:
         raise BadDimension(f"sender dimension must be 2, got {s.dA}")
-    _require_orthogonal(s, tol)
+    require_orthogonal(s, tol)
     ga = s.graph_alice(tol)
     gb = s.graph_bob(tol)
     found = _two_clique_assignment(ga, gb)
     if found is None:
-        return QubitSenderVerdict(
-            decision=Decision.INDISTINGUISHABLE,
-            certificate=None,
-            graph_alice=ga,
-            graph_bob=gb,
-        )
-    v1, v2 = found
-    cert = _build_certificate(s, gb, v1, v2)
-    return QubitSenderVerdict(
-        decision=Decision.DISTINGUISHABLE,
-        certificate=cert,
-        graph_alice=ga,
-        graph_bob=gb,
-    )
+        return QubitSenderVerdict(Decision.INDISTINGUISHABLE, None, ga, gb)
+    return QubitSenderVerdict(Decision.DISTINGUISHABLE, _build_certificate(s, gb, *found), ga, gb)
 
 
 def _build_certificate(

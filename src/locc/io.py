@@ -28,10 +28,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import build_operator_system, permutation_matrix
+from .algebra import build_operator_system, permutation_matrix, validated_unitaries
 from .core import DEFAULT_TOL, OneWayProtocol, Povm, StateSet, WeightedStates
 from .errors import FileFormatError
-from .graphs import CliqueCover, Graph, ProductStateSet
+from .graphs import CliqueCover, Graph, ProductStateSet, require_orthogonal
 from .pauli import build_pauli_system, from_label, to_dense
 
 SCHEMA = "locc/1"
@@ -193,9 +193,12 @@ class StateSetFile:
         return ProductStateSet.from_pairs(self.pairs, tol)
 
     def state_set(self, tol: float = DEFAULT_TOL) -> StateSet:
+        """The states, validated as ``decide`` validates them, without building ``S0``."""
         if self.is_product:
-            return self.product_set(tol).to_state_set()
-        return StateSet.from_unitaries(self.unitaries, tol)
+            pset = self.product_set(tol)
+            require_orthogonal(pset, tol)
+            return pset.to_state_set()
+        return StateSet.from_unitaries(validated_unitaries(self.unitaries, tol), tol)
 
 
 def load_state_set_file(path: str) -> StateSetFile:

@@ -216,7 +216,7 @@ class PauliOperatorSystem:
         return len(self.elements) == 1 << len(self.pivots)
 
     def closure(self) -> "PauliOperatorSystem":
-        return PauliOperatorSystem.of_span(self.n, self.pivots)
+        return self if self.closed_under_mult else PauliOperatorSystem.of_span(self.n, self.pivots)
 
     def is_abelian(self, tol: float | None = None) -> bool:
         """True iff the symplectic form vanishes on the span (exact; ``tol`` unused)."""

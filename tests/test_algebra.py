@@ -74,6 +74,7 @@ def test_closure_adjoins_products():
     assert not closure.contains(_unit(3, 0, 0))
     # closing a closed system is a no-op
     assert algebra_closure(closure).system_dim == 3
+    assert closure.closure() is closure and system.closure().system_dim == 3
 
 
 def test_decompose_full_matrix_algebra():

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from locc import algebra, cli, graphs, io, pauli
+from locc import algebra, cli, core, graphs, io, pauli
 
 W = np.exp(2j * np.pi / 3)
 PAULIS = [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
@@ -190,6 +191,61 @@ def test_verify_rejects_overlapping_states(tmp_path, capsys):
         io.write_json(cert, body)
         assert cli.main(["verify", states, cert]) == 4
         assert "overlap" in capsys.readouterr().err
+
+
+def _write_products(path, pairs):
+    states = [{"a": io.ket_json(a), "b": io.ket_json(b)} for a, b in pairs]
+    io.write_json(path, {"kind": "product", "dA": len(pairs[0][0]), "dB": len(pairs[0][1]), "states": states})
+    return path
+
+
+_P0, _P1 = np.diag([1, 0]), np.diag([0, 1])
+_CERTIFICATES = {
+    "witness_states": {"kind": "witness_states", "states": [io.ket_json([1, 0]), io.ket_json([0, 1])], "weights": [1, 1]},
+    "witness_isometry": {"kind": "witness_isometry", "w": io.matrix_json(np.eye(2))},
+    "one_way_protocol": io.protocol_json(
+        core.OneWayProtocol([_P0, _P1], [[_P0, _P1], [_P0, _P1]], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [
+        ("overlapping", "witness_states"),
+        ("overlapping", "witness_isometry"),
+        ("overlapping", "one_way_protocol"),
+        ("overlapping_products", "one_way_protocol"),
+        ("non_unitary", "one_way_protocol"),
+    ],
+)
+def test_verify_rejects_bad_families_as_decide_does(tmp_path, capsys, family, kind):
+    # every certificate kind exits 4 with the message decide gives
+    path = str(tmp_path / "states.json")
+    if family == "overlapping":  # [I, I]: two copies of one state
+        _write_unitaries(path, [np.eye(2), np.eye(2)])
+    elif family == "overlapping_products":
+        _write_products(path, [([1, 0], [1, 0]), ([1, 0], [1, 1])])
+    else:
+        _write_unitaries(path, [np.eye(2), 2 * np.eye(2)])
+    cert = str(tmp_path / "cert.json")
+    io.write_json(cert, _CERTIFICATES[kind])
+    assert cli.main(["decide", path]) == 4
+    decided = capsys.readouterr()
+    assert cli.main(["verify", path, cert]) == 4
+    assert capsys.readouterr() == decided
+    assert decided.err.startswith("error: ")
+
+
+def test_qubit_sender_decide_warns_once(tmp_path, capsys):
+    # Alice's factors 0 and 1 overlap by 3e-9, within a decade of tol; the
+    # decide and the checks of its certificate share one thresholded graph
+    path = _write_products(str(tmp_path / "near.json"), [([1, 0], np.eye(3)[0]), ([3e-9, 1], np.eye(3)[1]), ([1, 1], np.eye(3)[2])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["decide", path, "--json"]) == 0
+    assert [w.category for w in caught] == [UserWarning]
+    assert "within a decade of tol" in str(caught[0].message)
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from locc.graphs import (
     verify_product_protocol,
 )
 from locc.graphs import _maximal_cliques, _two_clique_assignment
-from locc.oracles import simulate_one_way_protocol
+from locc.oracles import haar_unitary, simulate_one_way_protocol
 
 K0 = np.array([1, 0], dtype=complex)
 K1 = np.array([0, 1], dtype=complex)
@@ -415,7 +415,7 @@ def test_two_clique_assignment_is_the_first_valid_one():
     # choice order V1-only, V2-only, both
     rng = np.random.default_rng(11)
     for _ in range(60):
-        r = int(rng.integers(1, 7))
+        r = int(rng.integers(1, 9))
         ga = _gnp(int(rng.integers(1 << 30)), r, 0.4)
         gb = Graph.from_edges(r, [e for e in complement(ga).edges if rng.random() < 0.4])
         first = None
@@ -436,6 +436,68 @@ def test_decide_qubit_sender_many_states():
     alice = rng.normal(size=(r, 2)) + 1j * rng.normal(size=(r, 2))
     verdict = decide_qubit_sender(ProductStateSet.from_pairs(zip(alice, np.eye(r))))
     assert verdict.decision is Decision.DISTINGUISHABLE
+
+
+def _generic_qubits(rng, count: int) -> list[np.ndarray]:
+    """Qubit kets orthogonal to none of |0>, |1>, |0>+|1>, |0>-|1> or each other."""
+    theta, phi = rng.uniform(0.3, 1.2, count), rng.uniform(0.1, 1.4, count)
+    return [np.array([np.cos(t), np.exp(1j * p) * np.sin(t)]) for t, p in zip(theta, phi)]
+
+
+def _padded_gadget(rng, pad: int) -> list:
+    """The five-state NO family after ``pad`` states with generic Alice factors, as pairs.
+
+    Each padding state has its own Bob basis vector, so a backtracking
+    search tries about ``2^pad`` assignments of the padding before each
+    dead end in the gadget.
+    """
+    eye = np.eye(3 + pad, dtype=complex)
+    gadget = [(K1, eye[1]), (K0, eye[0] + eye[1]), (K0, eye[0] - eye[1]), (K0 + K1, eye[2]), (K0 - K1, eye[2])]
+    return list(zip(_generic_qubits(rng, pad), eye[3:])) + gadget
+
+
+def _two_part(rng, only: int, shared: int) -> ProductStateSet:
+    """A YES family of ``2*only + shared`` states.
+
+    ``only`` states with Alice factor |0> and ``only`` with |1> each have
+    orthonormal Bob factors, and the two groups overlap for Bob; ``shared``
+    states have generic Alice factors and Bob factors orthogonal to all.
+    """
+    eye = np.eye(only + shared, dtype=complex)
+    mixed = np.zeros_like(eye)
+    mixed[:only, :only] = haar_unitary(only, rng)
+    pairs = [(K0, eye[i]) for i in range(only)]
+    pairs += zip(_generic_qubits(rng, shared), eye[only:])
+    pairs += [(K1, mixed[:, i]) for i in range(only)]
+    return ProductStateSet.from_pairs(pairs)
+
+
+def test_padded_gadget_is_decided_without_backtracking():
+    # r = 25: a search that backtracks tries about 2^20 assignments
+    pairs = _padded_gadget(np.random.default_rng(3), 20)
+    best = np.inf
+    for _ in range(3):
+        s = ProductStateSet.from_pairs(pairs)
+        t0 = time.perf_counter()
+        verdict = decide_qubit_sender(s)
+        best = min(best, time.perf_counter() - t0)
+    assert verdict.decision is Decision.INDISTINGUISHABLE
+    assert best < 0.05, f"best {best * 1e3:.1f} ms"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_two_part_family_of_78_states_is_certified(seed):
+    s = _two_part(np.random.default_rng(seed), 24, 30)
+    verdict = decide_qubit_sender(s)
+    assert verdict.decision is Decision.DISTINGUISHABLE
+    validate_qubit_certificate(s, verdict.certificate)
+    protocol = extract_qubit_protocol(s, verdict.certificate)
+    assert simulate_one_way_protocol(s.to_state_set(), protocol)
+
+
+def test_decide_qubit_sender_many_states_no_instance():
+    verdict = decide_qubit_sender(ProductStateSet.from_pairs(_padded_gadget(np.random.default_rng(4), 1095)))
+    assert verdict.decision is Decision.INDISTINGUISHABLE
 
 
 def test_decide_qubit_sender_input_checks(qutrit_sender_instance):

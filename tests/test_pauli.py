@@ -181,7 +181,7 @@ def test_family_param_validation(bad_k):
 
 def _criteria(system, seed):
     """What the schmidt and algebra criteria read off ``system``, in the CLI's order."""
-    closure = system if system.closed_under_mult else system.closure()
+    closure = system.closure()
     out = {
         "closed": system.closed_under_mult,
         "abelian": system.is_abelian(),
@@ -272,3 +272,12 @@ def test_duplicate_labels_name_the_pair_the_dense_check_names():
         assert str(fast.value) == str(dense.value)
     with pytest.raises(NotOrthogonalStates, match=r"^states 0 and 2 overlap: \|tr\(U_2\^\* U_0\)\|/d > tol$"):
         build_pauli_system([from_label(s) for s in ("X", "Z", "X", "Z")])
+
+
+def test_closure_of_a_closed_system_is_the_system():
+    closed = build_pauli_system([from_label(s) for s in ("II", "XI", "IX")])
+    assert closed.closed_under_mult and closed.closure() is closed
+    open_ = build_pauli_system([from_label(s) for s in ("II", "XI", "IX", "ZZ")])
+    closure = open_.closure()
+    assert not open_.closed_under_mult and closure.closed_under_mult
+    assert set(open_.elements) < set(closure.elements)
