@@ -16,7 +16,6 @@ overrides the default tolerance; an explicit ``--tol`` wins over both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -26,8 +25,8 @@ import numpy as np
 from . import io
 from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating, validated_unitaries
 from .core import DEFAULT_TOL, Decision
-from .errors import BadParams, LoccError, NotOrthogonalStates
-from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
+from .errors import BadParams, LoccError
+from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover, require_orthogonal
 from .oracles import DEFAULT_SEED, simulate_one_way_protocol
 
 EXIT_DISTINGUISHABLE = 0
@@ -71,16 +70,9 @@ def _tolerance(args) -> float:
 def _emit(args, record: dict, text: str) -> None:
     if getattr(args, "json", False):
         record.setdefault("schema", io.SCHEMA)
-        json.dump(record, sys.stdout, indent=1, default=_json_default)
-        sys.stdout.write("\n")
+        io.dump_json(record, sys.stdout)
     else:
         print(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +95,26 @@ def _vector_certificate(vec) -> dict:
     return {"kind": "separating_vector", "vector": io.ket_json(vec)}
 
 
-def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float, seed: int):
-    """Run one criterion; return (decision | None, certificate, detail)."""
+def _run_decide_criterion(name: str, sfile: io.StateSetFile, family, tol: float, seed: int):
+    """Run one criterion; return (decision | None, certificate, detail).
+
+    ``family`` is the validated operator system of a unitary file, or the
+    validated product set of a product file.
+    """
     if name == "permutation":
-        if not check_permutation_states(sfile.perms):
-            raise NotOrthogonalStates("two permutations agree at some point, so their states overlap")
-        d = len(sfile.perms[0])
-        return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
+        if check_permutation_states(sfile.perms):
+            d = len(sfile.perms[0])
+            return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
+        # two permutations agree at a point, so their states overlap by at
+        # least 1/d: the shared validation rejects that with the message of
+        # every other criterion, unless tol admits an overlap that large
+        validated_unitaries(sfile.unitaries, tol)
+        return None, None, "two permutations agree at some point"
 
     if name == "schmidt":
-        if not system.is_abelian(tol):
+        if not family.is_abelian(tol):
             return None, None, "no simultaneous Schmidt decomposition"
-        closure = system.closure()
+        closure = family.closure()
         cert = find_separating_vector(closure, seed=seed, tol=tol)
         return (
             Decision.DISTINGUISHABLE,
@@ -123,7 +123,7 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float,
         )
 
     if name == "algebra":
-        verdict = decide_system(system, tol=tol, seed=seed)
+        verdict = decide_system(family, tol=tol, seed=seed)
         blocks = verdict.decomposition.blocks
         if verdict.decision is Decision.CRITERION_NOT_APPLICABLE:
             return None, None, f"operator system is not multiplicatively closed (closure blocks: {blocks})"
@@ -141,10 +141,9 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, system, tol: float,
         )
 
     if name == "qubit-sender":
-        pset = sfile.product_set(tol)
-        verdict = decide_qubit_sender(pset, tol)
+        verdict = decide_qubit_sender(family, tol)
         if verdict.decision is Decision.DISTINGUISHABLE:
-            protocol = extract_qubit_protocol(pset, verdict.certificate, tol)
+            protocol = extract_qubit_protocol(family, verdict.certificate, tol)
             cert = io.protocol_json(protocol)
             cert["v1"] = sorted(verdict.certificate.v1)
             cert["v2"] = sorted(verdict.certificate.v2)
@@ -162,7 +161,7 @@ def cmd_decide(args) -> int:
         if sfile.is_product:
             chain = ["qubit-sender"] if sfile.dA == 2 else []
         elif sfile.kind == "permutations":
-            chain = ["permutation"]  # it always reaches a verdict
+            chain = ["permutation"]  # a verdict for every tol below 1/d
         else:
             chain = ["schmidt", "algebra"]
     else:
@@ -175,8 +174,15 @@ def cmd_decide(args) -> int:
             raise BadParams("the permutation criterion needs a permutations state set")
 
     start = time.perf_counter()
-    # one operator system, hence one validation, for both criteria on unitaries
-    system = sfile.operator_system(tol) if {"schmidt", "algebra"} & set(chain) else None
+    # one validation per family, whichever criteria run: the product states
+    # for every sender dimension, the unitaries through one operator system
+    if sfile.is_product:
+        family = sfile.product_set(tol)
+        require_orthogonal(family, tol)
+    elif {"schmidt", "algebra"} & set(chain):
+        family = sfile.operator_system(tol)
+    else:
+        family = None
     decision, certificate, detail, used = (
         Decision.CRITERION_NOT_APPLICABLE,
         None,
@@ -184,7 +190,7 @@ def cmd_decide(args) -> int:
         None,
     )
     for name in chain:
-        got, cert, note = _run_decide_criterion(name, sfile, system, tol, args.seed)
+        got, cert, note = _run_decide_criterion(name, sfile, family, tol, args.seed)
         if got is not None:
             decision, certificate, detail, used = got, cert, note, name
             break

@@ -119,17 +119,18 @@ def as_matrix(obj, where: str) -> np.ndarray:
     return np.stack(rows)
 
 
-def complex_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs_json(a) -> list:
+    """``a`` as nested lists with each complex entry an ``[re, im]`` pair of floats."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def ket_json(v) -> list:
-    return [complex_json(z) for z in np.asarray(v).ravel()]
+    return _pairs_json(np.ravel(v))
 
 
 def matrix_json(m) -> list:
-    return [ket_json(row) for row in np.asarray(m)]
+    return _pairs_json(m)
 
 
 def _load(path: str) -> dict:
@@ -147,11 +148,53 @@ def _load(path: str) -> dict:
     return obj
 
 
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _nesting(obj) -> int:
+    """How deep lists nest along first entries: 3 for a matrix of ``[re, im]`` pairs."""
+    depth = 0
+    while isinstance(obj, list) and obj:
+        obj, depth = obj[0], depth + 1
+    return depth
+
+
+def json_pieces(obj):
+    """Yield the text of ``json.dumps(obj)`` in pieces of at most one matrix each.
+
+    Dicts and the lists above matrix level are walked here; everything
+    below is encoded by one ``json.dumps`` call, i.e. by the C encoder, so a
+    multi-megabyte protocol record is never held as one string.
+    """
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from json_pieces(value)
+        yield "}"
+    elif isinstance(obj, list) and _nesting(obj) > 3:
+        yield "["
+        for i, item in enumerate(obj):
+            if i:
+                yield ", "
+            yield from json_pieces(item)
+        yield "]"
+    else:
+        yield json.dumps(obj, default=_json_default)
+
+
+def dump_json(obj, fh) -> None:
+    """Write ``obj`` to ``fh`` as one line of JSON, a piece at a time."""
+    fh.writelines(json_pieces(obj))
+    fh.write("\n")
+
+
 def write_json(path: str, obj: dict) -> None:
-    obj = {"schema": SCHEMA, **obj}
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        dump_json({"schema": SCHEMA, **obj}, fh)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Independent oracles used to cross-check the fast decision paths.
 
-Everything in this module is deliberately naive: literal enumeration over
-sandwich graphs, randomized searches for separating vectors, dense matrix
-group closures, and Born-rule simulation of full protocols.  The fast
-implementations elsewhere in the package are tested against these.
+Everything here but the protocol check is deliberately naive: literal
+enumeration over sandwich graphs, randomized searches for separating
+vectors and dense matrix group closures.  The fast implementations
+elsewhere in the package are tested against these.  The Born-rule
+simulation of full protocols, which ``locc verify`` runs on every
+``one_way_protocol`` certificate, is batched over states and outcomes; its
+literal form, one ``A_k (x) B_kj`` per state and outcome, lives in the
+tests as its reference.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, OneWayProtocol, StateSet, adjoint, tensor
+from .core import DEFAULT_TOL, OneWayProtocol, StateSet
 from .errors import BadParams, InvalidProtocol, TooLarge
 
 #: Default seed for every randomized oracle (reproducible by default).
@@ -160,6 +164,11 @@ def simulate_one_way_protocol(
     ``<psi_t| A_k (x) B_kj |psi_t>``.  Returns ``True`` iff, for every
     ``t``, outcomes mapped to ``t`` carry total probability 1 (within tol)
     and no outcome mapped to a different index fires.
+
+    With ``psi_t`` reshaped to the ``dA x dB`` matrix ``Psi_t``, that
+    probability is the entrywise sum of ``M_t o B_kj`` with
+    ``M_t = Psi_t^* A_k Psi_t``, so each Alice outcome costs two batched
+    products over all states and Bob outcomes at once.
     """
     protocol.validate(s.dA, s.dB, max(tol, 1e-9))
     for k, bob in enumerate(protocol.bob_povms):
@@ -168,19 +177,29 @@ def simulate_one_way_protocol(
                 raise InvalidProtocol(f"outcome ({k},{j}) has no classification")
 
     slack = tol * 10
-    for t, psi in enumerate(s.kets):
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-6:
+    kets = np.stack(s.kets)
+    r = len(kets)
+    psi = kets.reshape(r, s.dA, s.dB)
+    psi_adj = psi.conj().transpose(0, 2, 1)
+    correct = np.zeros(r)
+    wrong = np.zeros(r, dtype=bool)
+    states = np.arange(r)[:, None]
+    for k, a_el in enumerate(protocol.alice_povm):
+        m = psi_adj @ (a_el @ psi)  # M_t for every t
+        bob = np.stack(protocol.bob_povms[k])
+        probs = (m.reshape(r, -1) @ bob.reshape(len(bob), -1).T).real  # sum of M_t o B_kj
+        labels = [protocol.outcome_map[(k, j)] for j in range(len(bob))]
+        mapped = np.array([t is not None for t in labels])
+        target = np.array([t if t is not None and 0 <= t < r else -1 for t in labels])
+        hit = target == states
+        correct += np.where(hit, probs, 0.0).sum(axis=1)
+        wrong |= (mapped & ~hit & (probs > slack)).any(axis=1)
+    fails = wrong | (correct < 1.0 - max(slack, 1e-7))
+    norm_defects = np.abs(np.linalg.norm(kets, axis=1) - 1.0)
+    for t in range(r):  # in state order, as a state-by-state check would meet them
+        if norm_defects[t] > 1e-6:
             raise BadParams(f"state {t} is not normalized")
-        correct = 0.0
-        for k, a_el in enumerate(protocol.alice_povm):
-            for j, b_el in enumerate(protocol.bob_povms[k]):
-                prob = float(np.real(np.vdot(psi, tensor(a_el, b_el) @ psi)))
-                label = protocol.outcome_map[(k, j)]
-                if label == t:
-                    correct += prob
-                elif label is not None and prob > slack:
-                    return False  # a wrong answer fires with real probability
-        if correct < 1.0 - max(slack, 1e-7):
+        if fails[t]:
             return False
     return True
 

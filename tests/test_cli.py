@@ -48,15 +48,23 @@ def test_decide_distinguishable(tmp_path, capsys):
 
 def test_decide_indistinguishable_permutations(tmp_path, capsys):
     # permutations that agree at a point give overlapping states: bad input
-    # under every criterion, as for any other family
+    # under every criterion and in verify, with one message
     path = str(tmp_path / "perm.json")
     io.write_json(
         path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [0, 2, 1]]}
     )
-    for criterion in ("auto", "permutation", "schmidt", "algebra"):
-        assert cli.main(["decide", path, "--json", "--criterion", criterion]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
+    cert = str(tmp_path / "cert.json")
+    io.write_json(cert, {"kind": "witness_states", "states": [io.ket_json(k) for k in np.eye(3)], "weights": [1, 1, 1]})
+    message = "error: states 0 and 1 overlap: |tr(U_1^* U_0)|/d > tol\n"
+    for argv in (
+        *(["decide", path, "--json", "--criterion", c] for c in ("auto", "permutation", "schmidt", "algebra")),
+        ["verify", path, cert],
+    ):
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", message)
+    # a tol that admits an overlap of 1/d takes the states as orthogonal,
+    # and the permutation criterion, which needs derangements, does not apply
+    assert cli.main(["decide", path, "--tol", "0.5"]) == 2
 
 
 def test_decide_permutation_certificate_verifies(tmp_path, capsys):
@@ -216,24 +224,32 @@ _CERTIFICATES = {
         ("overlapping", "witness_isometry"),
         ("overlapping", "one_way_protocol"),
         ("overlapping_products", "one_way_protocol"),
+        ("overlapping_qutrit_products", "one_way_protocol"),
         ("non_unitary", "one_way_protocol"),
     ],
 )
 def test_verify_rejects_bad_families_as_decide_does(tmp_path, capsys, family, kind):
-    # every certificate kind exits 4 with the message decide gives
+    # every certificate kind exits 4 with the message decide gives, and a
+    # product family does so for any sender dimension under any criterion
     path = str(tmp_path / "states.json")
     if family == "overlapping":  # [I, I]: two copies of one state
         _write_unitaries(path, [np.eye(2), np.eye(2)])
     elif family == "overlapping_products":
         _write_products(path, [([1, 0], [1, 0]), ([1, 0], [1, 1])])
+    elif family == "overlapping_qutrit_products":  # |0>|0>, (|0>+|1>)|0> in C^3 (x) C^2
+        _write_products(path, [([1, 0, 0], [1, 0]), ([1, 1, 0], [1, 0])])
     else:
         _write_unitaries(path, [np.eye(2), 2 * np.eye(2)])
     cert = str(tmp_path / "cert.json")
     io.write_json(cert, _CERTIFICATES[kind])
     assert cli.main(["decide", path]) == 4
     decided = capsys.readouterr()
-    assert cli.main(["verify", path, cert]) == 4
-    assert capsys.readouterr() == decided
+    commands = [["verify", path, cert]]
+    if family.endswith("products"):
+        commands.append(["decide", path, "--criterion", "qubit-sender"])
+    for argv in commands:
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == decided
     assert decided.err.startswith("error: ")
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import locc
-
+from locc import cli, io
 from locc.core import Decision, Povm
 from locc.errors import (
     BadDimension,
@@ -493,6 +494,26 @@ def test_two_part_family_of_78_states_is_certified(seed):
     validate_qubit_certificate(s, verdict.certificate)
     protocol = extract_qubit_protocol(s, verdict.certificate)
     assert simulate_one_way_protocol(s.to_state_set(), protocol)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_two_part_family_of_78_states_round_trips_through_the_cli(tmp_path, capsys, seed):
+    # its one_way_protocol record holds about 110 Bob elements of 54 x 54;
+    # writing, reading and checking it must stay within the 5 s gate
+    s = _two_part(np.random.default_rng(seed), 24, 30)
+    states = str(tmp_path / "states.json")
+    pairs = [{"a": io.ket_json(a), "b": io.ket_json(b)} for a, b in zip(s.alice, s.bob)]
+    io.write_json(states, {"kind": "product", "dA": 2, "dB": s.dB, "states": pairs})
+    cert = str(tmp_path / "cert.json")
+    t0 = time.perf_counter()
+    assert cli.main(["decide", states, "--json"]) == 0
+    out = capsys.readouterr().out
+    io.write_json(cert, json.loads(out)["certificate"])
+    assert cli.main(["verify", states, cert, "--json"]) == 0
+    elapsed = time.perf_counter() - t0
+    assert out.count("\n") == 1  # one compact line
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 def test_decide_qubit_sender_many_states_no_instance():

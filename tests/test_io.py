@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,67 @@ def test_bare_reals_and_pairs_may_mix(monkeypatch):
     slow = io.as_ket(ket, "v"), io.as_matrix(matrix, "m")
     assert np.array_equal(fast[0], [1, 1j, 2.5]) and np.array_equal(fast[0], slow[0])
     assert np.array_equal(fast[1], [[1, 0], [1j, 2]]) and np.array_equal(fast[1], slow[1])
+
+
+def test_ket_and_matrix_json_give_the_per_entry_floats():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    m[0, 0], m[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    per_entry = [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+    assert json.dumps(io.matrix_json(m)) == json.dumps(per_entry)
+    assert json.dumps(io.ket_json(m[1])) == json.dumps(per_entry[1])
+    assert io.ket_json([1, 0]) == [[1.0, 0.0], [0.0, 0.0]]
+    assert all(type(x) is float for pair in io.ket_json(np.arange(3)) for x in pair)
+
+
+def _matrices(obj):
+    """Every matrix of ``[re, im]`` pairs inside ``obj``."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if not isinstance(obj, list):
+        return []
+    try:
+        if isinstance(obj[0][0][0], float):
+            return [obj]
+    except (IndexError, KeyError, TypeError):
+        pass
+    return [m for item in obj for m in _matrices(item)]
+
+
+def test_json_pieces_join_to_json_dumps_at_most_a_matrix_at_a_time(tmp_path):
+    rng = np.random.default_rng(8)
+
+    def matrix(rows, cols):
+        return io.matrix_json(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+    protocol = {
+        "kind": "one_way_protocol",
+        "alice_povm": [matrix(2, 2), matrix(2, 2)],
+        "bob_povms": [[matrix(5, 5), matrix(5, 5), matrix(5, 5)], [matrix(4, 4)], []],
+        "outcome_map": [[0, 0, 1], [0, 1, None]],
+        "v1": [0, 2],
+    }
+    record = {
+        "command": "decide",
+        "detail": 'blocks: [(2, 1)] "quoted" é',
+        "tol": 1e-09,
+        "verified": True,
+        "criterion": None,
+        "empty": {},
+        "none": [],
+        "by_index": {1: "a", 2: [1.5]},
+        "states": [io.ket_json(rng.standard_normal(3)) for _ in range(3)],
+        "certificate": protocol,
+        "nested": {"deeper": [[protocol["bob_povms"]]]},
+    }
+    pieces = list(io.json_pieces(record))
+    assert "".join(pieces) == json.dumps(record)
+    largest = max(len(json.dumps(m)) for m in _matrices(record))
+    assert max(map(len, pieces)) <= largest
+    assert sum(piece.startswith("[[[") for piece in pieces) >= len(_matrices(record))
+    assert "".join(io.json_pieces({"seed": np.int64(7), "x": [np.float64(0.5)]})) == '{"seed": 7, "x": [0.5]}'
+
+    path = str(tmp_path / "record.json")
+    io.write_json(path, record)
+    with open(path) as fh:
+        assert fh.read() == json.dumps({"schema": io.SCHEMA, **record}) + "\n"

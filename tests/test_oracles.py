@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from locc.algebra import OperatorSystem, build_operator_system, decide_by_algebra
-from locc.core import Decision, OneWayProtocol, StateSet
+from locc.core import DEFAULT_TOL, Decision, OneWayProtocol, StateSet
 from locc.errors import BadParams, InvalidProtocol, TooLarge
-from locc.graphs import Graph, complement, decide_qubit_sender
+from locc.graphs import Graph, ProductStateSet, complement, decide_qubit_sender, extract_qubit_protocol
 from locc.oracles import (
     dense_pauli_oracle,
     haar_unitary,
@@ -117,3 +117,93 @@ def test_simulate_rejects_unnormalized_states(bell_pair_protocol):
     doubled = StateSet(dA=2, dB=2, kets=tuple(2 * k for k in states.kets))
     with pytest.raises(BadParams):
         simulate_one_way_protocol(doubled, protocol)
+
+
+def _kron_born_rule(s: StateSet, protocol: OneWayProtocol, tol: float = DEFAULT_TOL) -> bool:
+    """The literal Born-rule check: one ``A_k (x) B_kj`` per state and outcome."""
+    protocol.validate(s.dA, s.dB, max(tol, 1e-9))
+    for k, bob in enumerate(protocol.bob_povms):
+        for j in range(len(bob)):
+            if (k, j) not in protocol.outcome_map:
+                raise InvalidProtocol(f"outcome ({k},{j}) has no classification")
+    slack = tol * 10
+    for t, psi in enumerate(s.kets):
+        if abs(np.linalg.norm(psi) - 1.0) > 1e-6:
+            raise BadParams(f"state {t} is not normalized")
+        correct = 0.0
+        for k, a_el in enumerate(protocol.alice_povm):
+            for j, b_el in enumerate(protocol.bob_povms[k]):
+                prob = float(np.real(np.vdot(psi, np.kron(a_el, b_el) @ psi)))
+                label = protocol.outcome_map[(k, j)]
+                if label == t:
+                    correct += prob
+                elif label is not None and prob > slack:
+                    return False
+        if correct < 1.0 - max(slack, 1e-7):
+            return False
+    return True
+
+
+def _outcome(check, s, protocol):
+    try:
+        return check(s, protocol)
+    except (BadParams, InvalidProtocol) as exc:
+        return type(exc), str(exc)
+
+
+def _corruptions(rng, s: StateSet, protocol: OneWayProtocol):
+    """Copies of a working (states, protocol) pair, each broken in one way."""
+    omap = protocol.outcome_map
+    mapped = [key for key, t in omap.items() if t is not None]
+    key = mapped[rng.integers(len(mapped))]
+    yield s, OneWayProtocol(protocol.alice_povm, protocol.bob_povms, {**omap, key: (omap[key] + 1) % len(s.kets)})
+    yield s, OneWayProtocol(protocol.alice_povm, protocol.bob_povms, {**omap, key: -1})
+    yield s, OneWayProtocol(protocol.alice_povm, protocol.bob_povms, {**omap, key: None})
+    k = int(rng.integers(len(protocol.bob_povms)))
+    dropped = [list(bs) for bs in protocol.bob_povms]
+    dropped[k].pop(int(rng.integers(len(dropped[k]))))
+    yield s, OneWayProtocol(protocol.alice_povm, dropped, omap)
+    yield s, OneWayProtocol(protocol.alice_povm, protocol.bob_povms, {q: t for q, t in omap.items() if q != key})
+    # Bob measures in a turned basis after Alice's first outcome: still a POVM
+    turn = haar_unitary(s.dB, rng)
+    turned = [[turn @ b @ turn.conj().T for b in protocol.bob_povms[0]], *protocol.bob_povms[1:]]
+    yield s, OneWayProtocol(protocol.alice_povm, turned, omap)
+    t = int(rng.integers(len(s.kets)))
+    kets = list(s.kets)
+    kets[t] = kets[t] * 1.01
+    yield StateSet(dA=s.dA, dB=s.dB, kets=tuple(kets)), protocol
+    # a misidentified state before a mis-normalised one: the first fault met wins
+    kets = list(s.kets)
+    kets[-1] = kets[-1] * 1.01
+    first = next(q for q, t in omap.items() if t == 0)
+    yield StateSet(dA=s.dA, dB=s.dB, kets=tuple(kets)), OneWayProtocol(
+        protocol.alice_povm, protocol.bob_povms, {**omap, first: 1}
+    )
+
+
+def test_batched_born_rule_matches_the_kron_loop(random_qubit_instance, bell_pair_protocol):
+    rng = np.random.default_rng(2024)
+    cases = [bell_pair_protocol]
+    while len(cases) < 25:
+        s = random_qubit_instance(rng, r=int(rng.integers(2, 9)))
+        # local unitaries keep both orthogonality graphs and make the factors complex
+        ua, ub = haar_unitary(s.dA, rng), haar_unitary(s.dB, rng)
+        s = ProductStateSet.from_pairs([(ua @ a, ub @ b) for a, b in zip(s.alice, s.bob)])
+        verdict = decide_qubit_sender(s)
+        if verdict.decision is Decision.DISTINGUISHABLE:
+            cases.append((s.to_state_set(), extract_qubit_protocol(s, verdict.certificate)))
+    # an inconclusive outcome may fire within the 1e-7 a correct answer may lose
+    states, protocol = bell_pair_protocol
+    (p0, p1), eps = protocol.bob_povms[0], 1e-7
+    leaky = OneWayProtocol(
+        protocol.alice_povm, [[(1 - eps) * p0, p1, eps * p0], protocol.bob_povms[1]], {**protocol.outcome_map, (0, 2): None}
+    )
+    assert simulate_one_way_protocol(states, leaky) is _kron_born_rule(states, leaky) is True
+    broken = 0
+    for s, protocol in cases:
+        assert simulate_one_way_protocol(s, protocol) is _kron_born_rule(s, protocol) is True
+        for bad_s, bad_protocol in _corruptions(rng, s, protocol):
+            expected = _outcome(_kron_born_rule, bad_s, bad_protocol)
+            assert _outcome(simulate_one_way_protocol, bad_s, bad_protocol) == expected
+            broken += expected is not True
+    assert broken == 8 * len(cases)
