@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Decision, adjoint, require_unitaries
+from .core import DEFAULT_TOL, Decision, adjoint, require_orthogonal, require_unitaries
 from .errors import (
     DecompositionFailed,
     DimensionMismatch,
     NotAnAlgebra,
-    NotOrthogonalStates,
     NotPermutation,
     SamplingFailed,
     ZeroVector,
@@ -200,7 +199,10 @@ def validated_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
     span, for checks that need no ``S0``.
     """
     us = require_unitaries(unitaries, tol)
-    _require_orthogonal(us, tol)
+    # tr(U_b^* U_a) is the Frobenius inner product of the vectorized
+    # unitaries, so all pairwise overlaps come from one Gram matrix
+    vecs = us.reshape(len(us), -1)
+    require_orthogonal(np.abs(np.conj(vecs) @ vecs.T) / us.shape[1], tol)
     return us
 
 
@@ -473,25 +475,6 @@ class AlgebraVerdict:
     closed: bool
 
 
-def _require_orthogonal(us: np.ndarray, tol: float) -> None:
-    """Reject families whose entangled states overlap.
-
-    tr(U_b^* U_a) is the Frobenius inner product of the vectorized
-    unitaries, so all pairwise overlaps come from one Gram matrix.
-    """
-    vecs = us.reshape(len(us), -1)
-    overlaps = np.abs(np.conj(vecs) @ vecs.T) / us.shape[1]
-    np.fill_diagonal(overlaps, 0.0)
-    if overlaps.max() > tol:
-        a, b = np.unravel_index(int(np.argmax(overlaps)), overlaps.shape)
-        raise overlap_error(*sorted((int(a), int(b))))
-
-
-def overlap_error(a: int, b: int) -> NotOrthogonalStates:
-    """The error for the first overlapping pair ``a < b`` in row-major order."""
-    return NotOrthogonalStates(f"states {a} and {b} overlap: |tr(U_{b}^* U_{a})|/d > tol")
-
-
 def decide_by_algebra(unitaries, tol: float = DEFAULT_TOL, seed: int = 0) -> AlgebraVerdict:
     """Decide one-way distinguishability of ``(I (x) U_i)|Phi>`` states."""
     return decide_system(build_operator_system(unitaries, tol), tol, seed)
@@ -552,6 +535,21 @@ def _as_permutation(p, size: int | None = None) -> np.ndarray:
     return image
 
 
+def permutation_overlaps(perms) -> np.ndarray:
+    """``|tr(P_b^* P_a)|/d`` for every pair: the share of points where two permutations agree.
+
+    This is the overlap of their maximally entangled states, found from the
+    images alone.  Accepts image lists or permutation matrices.
+    """
+    images = []
+    for p in perms:
+        images.append(_as_permutation(p, images[0].size if images else None))
+    if not images:
+        raise DimensionMismatch("need at least one permutation")
+    images = np.array(images)
+    return (images[:, None] == images[None]).sum(axis=2) / images.shape[1]
+
+
 def check_permutation_states(perms) -> bool:
     """Fast distinguishability test for permutation unitaries.
 
@@ -560,17 +558,7 @@ def check_permutation_states(perms) -> bool:
     for every pair ``i != j`` -- equivalently, no two permutations agree at
     any point.  Accepts image lists or permutation matrices.
     """
-    images = []
-    size = None
-    for p in perms:
-        img = _as_permutation(p, size)
-        size = img.size
-        images.append(img)
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            if np.any(images[a] == images[b]):
-                return False
-    return True
+    return not np.triu(permutation_overlaps(perms), 1).any()
 
 
 def permutation_matrix(image) -> np.ndarray:

@@ -23,10 +23,10 @@ import time
 import numpy as np
 
 from . import io
-from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating, validated_unitaries
-from .core import DEFAULT_TOL, Decision
+from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating, permutation_overlaps, validated_unitaries
+from .core import DEFAULT_TOL, Decision, require_orthogonal
 from .errors import BadParams, LoccError
-from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover, require_orthogonal
+from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
 from .oracles import DEFAULT_SEED, simulate_one_way_protocol
 
 EXIT_DISTINGUISHABLE = 0
@@ -98,17 +98,16 @@ def _vector_certificate(vec) -> dict:
 def _run_decide_criterion(name: str, sfile: io.StateSetFile, family, tol: float, seed: int):
     """Run one criterion; return (decision | None, certificate, detail).
 
-    ``family`` is the validated operator system of a unitary file, or the
-    validated product set of a product file.
+    ``family`` is the validated operator system of a unitary file, the
+    validated product set of a product file, or ``None`` for a permutations
+    file checked from its images.
     """
     if name == "permutation":
         if check_permutation_states(sfile.perms):
             d = len(sfile.perms[0])
             return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
         # two permutations agree at a point, so their states overlap by at
-        # least 1/d: the shared validation rejects that with the message of
-        # every other criterion, unless tol admits an overlap that large
-        validated_unitaries(sfile.unitaries, tol)
+        # least 1/d, which the validation admitted only because tol does
         return None, None, "two permutations agree at some point"
 
     if name == "schmidt":
@@ -166,23 +165,24 @@ def cmd_decide(args) -> int:
             chain = ["schmidt", "algebra"]
     else:
         chain = [args.criterion]
-        if (args.criterion == "qubit-sender") != sfile.is_product:
-            raise BadParams(
-                f"criterion {args.criterion!r} does not apply to a {sfile.kind!r} state set"
-            )
-        if args.criterion == "permutation" and sfile.kind != "permutations":
-            raise BadParams("the permutation criterion needs a permutations state set")
 
     start = time.perf_counter()
-    # one validation per family, whichever criteria run: the product states
-    # for every sender dimension, the unitaries through one operator system
+    # one validation per family, whichever criteria run, before a criterion
+    # is matched to the file: product states for every sender dimension,
+    # permutations from their images unless S0 is needed, others through S0
     if sfile.is_product:
         family = sfile.product_set(tol)
-        require_orthogonal(family, tol)
-    elif {"schmidt", "algebra"} & set(chain):
-        family = sfile.operator_system(tol)
-    else:
+        family.require_orthogonal(tol)
+    elif sfile.kind == "permutations" and not {"schmidt", "algebra"} & set(chain):
         family = None
+        require_orthogonal(permutation_overlaps(sfile.perms), tol)
+    else:
+        family = sfile.operator_system(tol)
+    if args.criterion != "auto":
+        if (args.criterion == "qubit-sender") != sfile.is_product:
+            raise BadParams(f"criterion {args.criterion!r} does not apply to a {sfile.kind!r} state set")
+        if args.criterion == "permutation" and sfile.kind != "permutations":
+            raise BadParams("the permutation criterion needs a permutations state set")
     decision, certificate, detail, used = (
         Decision.CRITERION_NOT_APPLICABLE,
         None,
@@ -250,49 +250,45 @@ def _verify(sfile: io.StateSetFile, pfile: io.ProtocolFile, tol: float) -> tuple
     from .graphs import verify_product_protocol
 
     kind = pfile.kind
-    if kind in ("separating_vector", "refuting_block", "witness_states", "witness_isometry"):
-        if sfile.is_product:
-            raise BadParams(f"certificate kind {kind!r} applies to unitary state sets")
+    if kind != "one_way_protocol" and (kind == "product_protocol") != sfile.is_product:
+        sfile.state_set(tol)  # a non-orthogonal family is reported first, as decide does
+        raise BadParams(f"certificate kind {kind!r} does not apply to a {sfile.kind!r} state set")
 
-        if kind == "witness_states":
-            ok = verify_witness_states(pfile.weighted_states, validated_unitaries(sfile.unitaries, tol), tol)
-            return ok, "weighted states kill all off-diagonal quotients" if ok else "a quotient has a nonzero diagonal term"
+    if kind == "witness_states":
+        ok = verify_witness_states(pfile.weighted_states, validated_unitaries(sfile.unitaries, tol), tol)
+        return ok, "weighted states kill all off-diagonal quotients" if ok else "a quotient has a nonzero diagonal term"
 
-        if kind == "witness_isometry":
-            ok = verify_witness_isometry(pfile.isometry, validated_unitaries(sfile.unitaries, tol), tol)
-            return ok, "isometry kills all quotient diagonals" if ok else "a quotient diagonal does not vanish"
-
-        system = sfile.operator_system(tol)
-        if kind == "separating_vector":
-            closure = system.closure()
-            if not is_separating(closure, pfile.vector, tol):
-                return False, "the vector does not separate the operator system"
-            if system.closed_under_mult:
-                return True, "separating vector for a multiplicatively closed system"
-            if system.is_abelian(tol):
-                return True, "separating vector for an abelian closure (simultaneous Schmidt)"
-            return False, "system not closed and not abelian: the vector proves nothing"
-
-        # refuting_block
-        if not system.closed_under_mult:
-            return False, "operator system is not multiplicatively closed"
-        dec = system.decompose()
-        m, n = pfile.block
-        if (m, n) in dec.blocks and m > n:
-            return True, f"block ({m},{n}) with m > n is present"
-        return False, f"claimed block ({m},{n}) absent or not refuting (blocks: {dec.blocks})"
+    if kind == "witness_isometry":
+        ok = verify_witness_isometry(pfile.isometry, validated_unitaries(sfile.unitaries, tol), tol)
+        return ok, "isometry kills all quotient diagonals" if ok else "a quotient diagonal does not vanish"
 
     if kind == "one_way_protocol":
         ok = simulate_one_way_protocol(sfile.state_set(tol), pfile.protocol, tol)
         return ok, "protocol identifies every state" if ok else "protocol misidentifies some state"
 
-    # product_protocol
-    if not sfile.is_product:
-        raise BadParams("a product_protocol certificate needs a product state set")
-    ok = verify_product_protocol(
-        sfile.product_set(tol), pfile.graph, pfile.cover, pfile.povm, tol
-    )
-    return ok, "graph/cover/POVM conditions all hold" if ok else "a certificate condition fails"
+    if kind == "product_protocol":
+        ok = verify_product_protocol(sfile.product_set(tol), pfile.graph, pfile.cover, pfile.povm, tol)
+        return ok, "graph/cover/POVM conditions all hold" if ok else "a certificate condition fails"
+
+    system = sfile.operator_system(tol)
+    if kind == "separating_vector":
+        closure = system.closure()
+        if not is_separating(closure, pfile.vector, tol):
+            return False, "the vector does not separate the operator system"
+        if system.closed_under_mult:
+            return True, "separating vector for a multiplicatively closed system"
+        if system.is_abelian(tol):
+            return True, "separating vector for an abelian closure (simultaneous Schmidt)"
+        return False, "system not closed and not abelian: the vector proves nothing"
+
+    # refuting_block
+    if not system.closed_under_mult:
+        return False, "operator system is not multiplicatively closed"
+    dec = system.decompose()
+    m, n = pfile.block
+    if (m, n) in dec.blocks and m > n:
+        return True, f"block ({m},{n}) with m > n is present"
+    return False, f"claimed block ({m},{n}) absent or not refuting (blocks: {dec.blocks})"
 
 
 def cmd_verify(args) -> int:

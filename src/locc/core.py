@@ -22,6 +22,7 @@ from .errors import (
     NonSquare,
     NonUnitary,
     NotCoisometry,
+    NotOrthogonalStates,
     ZeroVector,
 )
 
@@ -45,11 +46,6 @@ class Decision(enum.Enum):
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def kron_ket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -111,6 +107,31 @@ def require_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not ok.all():
         raise NonUnitary(f"unitaries[{ok.argmin()}] is not unitary within tol={tol}")
     return stack
+
+
+# ---------------------------------------------------------------------------
+# orthogonality: perfect discrimination needs mutually orthogonal states
+# ---------------------------------------------------------------------------
+
+#: ``|<psi_a|psi_b>|`` in the terms of each kind of family
+UNITARY_OVERLAP = "|tr(U_{b}^* U_{a})|/d"  # maximally entangled states (I (x) U)|Phi>
+PRODUCT_OVERLAP = "|<a_{a}|a_{b}><b_{a}|b_{b}>|"  # product states |a_v>|b_v>
+
+
+def overlap_error(a: int, b: int, overlap: str = UNITARY_OVERLAP) -> NotOrthogonalStates:
+    """The error naming states ``a < b`` as the first overlapping pair."""
+    return NotOrthogonalStates(f"states {a} and {b} overlap: {overlap.format(a=a, b=b)} > tol")
+
+
+def require_orthogonal(overlaps: np.ndarray, tol: float, overlap: str = UNITARY_OVERLAP) -> None:
+    """Raise :func:`overlap_error` unless ``overlaps[a, b] <= tol`` for every ``a < b``.
+
+    ``overlaps`` is the ``r x r`` matrix of ``|<psi_a|psi_b>|``.  The error
+    names the first failing pair in row-major order; a NaN overlap fails.
+    """
+    bad = np.triu(~(overlaps <= tol), 1)
+    if bad.any():
+        raise overlap_error(*divmod(int(bad.argmax()), len(bad)), overlap)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +357,6 @@ class StateSet:
 
     def __len__(self) -> int:
         return len(self.kets)
-
-    def orthogonality_defect(self) -> float:
-        """Largest ``|<psi_a|psi_b>|`` over distinct pairs (0 for a single state)."""
-        worst = 0.0
-        for a in range(len(self.kets)):
-            for b in range(a + 1, len(self.kets)):
-                worst = max(worst, abs(np.vdot(self.kets[a], self.kets[b])))
-        return worst
 
 
 @dataclass(frozen=True)

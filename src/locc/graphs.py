@@ -21,12 +21,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    PRODUCT_OVERLAP,
     Decision,
     OneWayProtocol,
     Povm,
     StateSet,
     kron_ket,
     normalized,
+    require_orthogonal,
     validate_povm,
 )
 from .errors import (
@@ -35,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     InvalidCertificate,
     InvalidPovm,
-    NotOrthogonalStates,
     NotSpanning,
     TooLarge,
     VertexCountMismatch,
@@ -445,20 +446,13 @@ class ProductStateSet:
             self._graphs["B", tol] = _threshold(self.bob_overlaps, tol)
         return self._graphs["B", tol]
 
-    def orthogonality_defect(self) -> float:
-        """Largest overlap ``|<a_u|a_v><b_u|b_v>|`` over distinct pairs (NaN if any is NaN)."""
-        return float(np.triu(self.alice_overlaps * self.bob_overlaps, 1).max(initial=0.0))
+    def require_orthogonal(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise ``NotOrthogonalStates`` naming the first pair of overlapping products."""
+        require_orthogonal(self.alice_overlaps * self.bob_overlaps, tol, PRODUCT_OVERLAP)
 
     def to_state_set(self) -> StateSet:
         kets = tuple(kron_ket(a, b) for a, b in zip(self.alice, self.bob))
         return StateSet(dA=self.dA, dB=self.dB, kets=kets, kind="product")
-
-
-def require_orthogonal(s: ProductStateSet, tol: float = DEFAULT_TOL) -> None:
-    """Raise ``NotOrthogonalStates`` unless the product states are mutually orthogonal."""
-    defect = s.orthogonality_defect()
-    if not defect <= tol:  # NaN fails too
-        raise NotOrthogonalStates(f"largest product overlap {defect:.3e} exceeds tol")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +481,7 @@ def verify_product_protocol(
     stack = np.stack(s.alice)
     if np.linalg.matrix_rank(stack, tol=1e-7 * float(np.linalg.norm(stack))) < s.dA:
         raise NotSpanning("Alice's local states must span her whole space")
-    require_orthogonal(s, tol)
+    s.require_orthogonal(tol)
     if len(povm) != len(cover.parts):
         raise DimensionMismatch("need exactly one POVM element per cover part")
     if povm.dim != s.dA:
@@ -603,7 +597,7 @@ def decide_qubit_sender(s: ProductStateSet, tol: float = DEFAULT_TOL) -> QubitSe
     """
     if s.dA != 2:
         raise BadDimension(f"sender dimension must be 2, got {s.dA}")
-    require_orthogonal(s, tol)
+    s.require_orthogonal(tol)
     ga = s.graph_alice(tol)
     gb = s.graph_bob(tol)
     found = _two_clique_assignment(ga, gb)

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import build_operator_system, permutation_matrix, validated_unitaries
 from .core import DEFAULT_TOL, OneWayProtocol, Povm, StateSet, WeightedStates
 from .errors import FileFormatError
-from .graphs import CliqueCover, Graph, ProductStateSet, require_orthogonal
+from .graphs import CliqueCover, Graph, ProductStateSet
 from .pauli import build_pauli_system, from_label, to_dense
 
 SCHEMA = "locc/1"
@@ -207,7 +207,7 @@ class StateSetFile:
     """Parsed content of a state-set file."""
 
     kind: str
-    matrices: list = field(default_factory=list)  # dense, max_entangled and permutations only
+    matrices: list = field(default_factory=list)  # max_entangled only
     perms: list = field(default_factory=list)  # image lists, permutations only
     labels: list = field(default_factory=list)  # pauli_labels only
     paulis: list = field(default_factory=list)  # the labels as PauliOps
@@ -221,8 +221,12 @@ class StateSetFile:
 
     @cached_property
     def unitaries(self) -> list:
-        """Dense unitaries; a label file builds them on first use."""
-        return [to_dense(op) for op in self.paulis] if self.paulis else self.matrices
+        """Dense unitaries; a label or permutations file builds them on first use."""
+        if self.paulis:
+            return [to_dense(op) for op in self.paulis]
+        if self.perms:
+            return [permutation_matrix(p) for p in self.perms]
+        return self.matrices
 
     def operator_system(self, tol: float = DEFAULT_TOL):
         """The validated ``S0`` of a unitary family: over GF(2) for a label file."""
@@ -239,7 +243,7 @@ class StateSetFile:
         """The states, validated as ``decide`` validates them, without building ``S0``."""
         if self.is_product:
             pset = self.product_set(tol)
-            require_orthogonal(pset, tol)
+            pset.require_orthogonal(tol)
             return pset.to_state_set()
         return StateSet.from_unitaries(validated_unitaries(self.unitaries, tol), tol)
 
@@ -294,9 +298,7 @@ def _as_state_set(obj: dict, path: str) -> StateSetFile:
             if sorted(image) != list(range(d)):
                 _fail(path, f"perms[{i}] is not a permutation of 0..{d - 1}")
             images.append(image)
-        return StateSetFile(
-            kind=kind, perms=images, matrices=[permutation_matrix(p) for p in images]
-        )
+        return StateSetFile(kind=kind, perms=images)
 
     # product
     dA, dB = _count(obj, "dA", path), _count(obj, "dB", path)

@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, overlap_error
-from .core import require_unitary
+from .algebra import AlgebraDecomposition
+from .core import overlap_error, require_unitary
 from .errors import BadLabel, BadParams, DimensionMismatch, NotAnAlgebra
 
 I = np.eye(2, dtype=complex)

@@ -48,22 +48,29 @@ def test_decide_distinguishable(tmp_path, capsys):
 
 def test_decide_indistinguishable_permutations(tmp_path, capsys):
     # permutations that agree at a point give overlapping states: bad input
-    # under every criterion and in verify, with one message
+    # under every criterion and in verify, with one message naming the first
+    # overlapping pair in row-major order, as a permutations file and as the
+    # same matrices; in the second family states 0 and 2 agree at two
+    # points, states 0 and 1 at one
     path = str(tmp_path / "perm.json")
-    io.write_json(
-        path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [0, 2, 1]]}
-    )
+    dense = str(tmp_path / "dense.json")
     cert = str(tmp_path / "cert.json")
-    io.write_json(cert, {"kind": "witness_states", "states": [io.ket_json(k) for k in np.eye(3)], "weights": [1, 1, 1]})
-    message = "error: states 0 and 1 overlap: |tr(U_1^* U_0)|/d > tol\n"
-    for argv in (
-        *(["decide", path, "--json", "--criterion", c] for c in ("auto", "permutation", "schmidt", "algebra")),
-        ["verify", path, cert],
-    ):
-        assert cli.main(argv) == 4
-        assert capsys.readouterr() == ("", message)
+    for perms in ([[0, 1, 2], [0, 2, 1]], [[0, 1, 2, 3], [0, 2, 3, 1], [1, 0, 2, 3]]):
+        d = len(perms[0])
+        io.write_json(path, {"kind": "permutations", "d": d, "perms": perms})
+        _write_unitaries(dense, [algebra.permutation_matrix(p) for p in perms])
+        io.write_json(cert, {"kind": "witness_states", "states": [io.ket_json(k) for k in np.eye(d)], "weights": [1] * d})
+        message = "error: states 0 and 1 overlap: |tr(U_1^* U_0)|/d > tol\n"
+        for states in (path, dense):
+            for argv in (
+                *(["decide", states, "--json", "--criterion", c] for c in ("auto", "permutation", "schmidt", "algebra")),
+                ["verify", states, cert],
+            ):
+                assert cli.main(argv) == 4, argv
+                assert capsys.readouterr() == ("", message), argv
     # a tol that admits an overlap of 1/d takes the states as orthogonal,
     # and the permutation criterion, which needs derangements, does not apply
+    io.write_json(path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [0, 2, 1]]})
     assert cli.main(["decide", path, "--tol", "0.5"]) == 2
 
 
@@ -214,6 +221,12 @@ _CERTIFICATES = {
     "one_way_protocol": io.protocol_json(
         core.OneWayProtocol([_P0, _P1], [[_P0, _P1], [_P0, _P1]], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
     ),
+    "product_protocol": {
+        "kind": "product_protocol",
+        "graph": {"kind": "graph", "vertices": 2, "edges": []},
+        "cover": [[0], [1]],
+        "povm": [io.matrix_json(_P0), io.matrix_json(_P1)],
+    },
 }
 
 
@@ -223,34 +236,51 @@ _CERTIFICATES = {
         ("overlapping", "witness_states"),
         ("overlapping", "witness_isometry"),
         ("overlapping", "one_way_protocol"),
+        ("overlapping", "product_protocol"),
         ("overlapping_products", "one_way_protocol"),
         ("overlapping_qutrit_products", "one_way_protocol"),
+        ("overlapping_product_triple", "one_way_protocol"),
+        ("overlapping_product_triple", "witness_states"),
+        ("overlapping_qutrit_product_triple", "one_way_protocol"),
         ("non_unitary", "one_way_protocol"),
     ],
 )
 def test_verify_rejects_bad_families_as_decide_does(tmp_path, capsys, family, kind):
-    # every certificate kind exits 4 with the message decide gives, and a
-    # product family does so for any sender dimension under any criterion
+    # every certificate kind exits 4 with the message decide gives, also
+    # one that does not apply to the family, and a product family does so
+    # for any sender dimension under any criterion
     path = str(tmp_path / "states.json")
+    # in the triples, states 0 and 2 overlap by 0.32 (0.26 for dA = 3), and
+    # the later pair 1 and 2 by twice as much: the first pair is named
+    bob_mixed = [1, 2]
+    message = "states 0 and 1 overlap: |<a_0|a_1><b_0|b_1>| > tol"
     if family == "overlapping":  # [I, I]: two copies of one state
         _write_unitaries(path, [np.eye(2), np.eye(2)])
+        message = "states 0 and 1 overlap: |tr(U_1^* U_0)|/d > tol"
     elif family == "overlapping_products":
         _write_products(path, [([1, 0], [1, 0]), ([1, 0], [1, 1])])
     elif family == "overlapping_qutrit_products":  # |0>|0>, (|0>+|1>)|0> in C^3 (x) C^2
         _write_products(path, [([1, 0, 0], [1, 0]), ([1, 1, 0], [1, 0])])
+    elif family == "overlapping_product_triple":
+        _write_products(path, [([1, 0], [1, 0]), ([1, 0], [0, 1]), ([1, 1], bob_mixed)])
+        message = "states 0 and 2 overlap: |<a_0|a_2><b_0|b_2>| > tol"
+    elif family == "overlapping_qutrit_product_triple":
+        _write_products(path, [([1, 0, 0], [1, 0]), ([1, 0, 0], [0, 1]), ([1, 1, 1], bob_mixed)])
+        message = "states 0 and 2 overlap: |<a_0|a_2><b_0|b_2>| > tol"
     else:
         _write_unitaries(path, [np.eye(2), 2 * np.eye(2)])
+        message = "unitaries[1] is not unitary within tol=1e-09"
     cert = str(tmp_path / "cert.json")
     io.write_json(cert, _CERTIFICATES[kind])
     assert cli.main(["decide", path]) == 4
     decided = capsys.readouterr()
     commands = [["verify", path, cert]]
-    if family.endswith("products"):
+    if "products" in family or family.endswith("triple"):
         commands.append(["decide", path, "--criterion", "qubit-sender"])
     for argv in commands:
         assert cli.main(argv) == 4
         assert capsys.readouterr() == decided
-    assert decided.err.startswith("error: ")
+    assert decided == ("", f"error: {message}\n")
 
 
 def test_qubit_sender_decide_warns_once(tmp_path, capsys):
@@ -356,6 +386,27 @@ def test_label_files_decide_over_gf2_as_their_dense_family(tmp_path, capsys, mon
         calls.clear()
         assert cli.main(["verify", states, cert]) == cli.main(["verify", dense, cert])
         assert calls == ["S0"]  # the dense file's run only
+
+
+def test_decide_on_a_permutations_file_builds_no_matrix(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counted(image):
+        built.append(image)
+        return algebra.permutation_matrix(image)
+
+    monkeypatch.setattr(io, "permutation_matrix", counted)
+    path, cert = str(tmp_path / "perm.json"), str(tmp_path / "cert.json")
+    io.write_json(path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+    code, record = _decide_json(capsys, path)
+    assert (code, built) == (0, [])
+    io.write_json(path, {"kind": "permutations", "d": 3, "perms": [[0, 1, 2], [0, 2, 1]]})
+    for argv, code in ((["decide", path], 4), (["decide", path, "--tol", "0.5"], 2)):
+        assert (cli.main(argv), built) == (code, [])
+    # checking a witness needs the matrices: one per permutation
+    io.write_json(cert, record["certificate"])
+    assert cli.main(["verify", path, cert, "--tol", "0.5"]) == 1
+    assert built == [[0, 1, 2], [0, 2, 1]]
 
 
 def test_witness_certificates_on_a_label_file_use_the_dense_family(tmp_path, monkeypatch):

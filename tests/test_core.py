@@ -9,6 +9,7 @@ from locc.core import (
     isometry_to_weighted_states,
     max_entangled,
     normalized,
+    require_orthogonal,
     validate_povm,
     verify_witness_isometry,
     verify_witness_states,
@@ -21,6 +22,7 @@ from locc.errors import (
     NonSquare,
     NonUnitary,
     NotCoisometry,
+    NotOrthogonalStates,
     ZeroVector,
 )
 from locc.oracles import haar_unitary
@@ -63,9 +65,23 @@ def test_pauli_state_set_is_orthonormal():
     s = StateSet.from_unitaries([I, X, Y, Z])
     assert (s.dA, s.dB, len(s)) == (2, 2, 4)
     assert s.kind == "max_entangled"
-    assert s.orthogonality_defect() < 1e-12
+    kets = np.array(s.kets)
+    assert np.abs(np.triu(kets.conj() @ kets.T, 1)).max() < 1e-12
     for k in s.kets:
         assert np.linalg.norm(k) == pytest.approx(1)
+
+
+def test_require_orthogonal_names_the_first_pair_in_row_major_order():
+    overlaps = np.eye(4)
+    require_orthogonal(overlaps, 1e-9)  # the diagonal is not a pair
+    overlaps[0, 3] = overlaps[3, 0] = 0.1
+    overlaps[1, 2] = overlaps[2, 1] = 0.9
+    with pytest.raises(NotOrthogonalStates, match=r"^states 0 and 3 overlap: \|tr\(U_3\^\* U_0\)\|/d > tol$"):
+        require_orthogonal(overlaps, 1e-9)
+    require_orthogonal(overlaps, 0.9)  # overlaps up to tol are admitted
+    overlaps[0, 1] = overlaps[1, 0] = np.nan
+    with pytest.raises(NotOrthogonalStates, match="^states 0 and 1 overlap"):
+        require_orthogonal(overlaps, 0.9)
 
 
 def test_normalized():

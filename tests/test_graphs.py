@@ -140,8 +140,16 @@ def test_overlaps_match_the_pairwise_loop():
         assert s.graph_bob().edges == {e for e, x in ip["b"].items() if x > 1e-9}
         for g in (s.graph_alice(), s.graph_bob()):
             assert g == Graph.from_edges(r, g.edges)  # the masks are symmetric
+        # the product overlaps the orthogonality check reads
         loop = max([ip["a"][e] * ip["b"][e] for e in ip["a"]], default=0.0)
-        assert s.orthogonality_defect() == pytest.approx(loop, rel=1e-12, abs=1e-15)
+        products = np.triu(s.alice_overlaps * s.bob_overlaps, 1).max(initial=0.0)
+        assert products == pytest.approx(loop, rel=1e-12, abs=1e-15)
+        first = next((e for e in ip["a"] if ip["a"][e] * ip["b"][e] > 1e-9), None)
+        if first is None:
+            s.require_orthogonal()
+        else:
+            with pytest.raises(NotOrthogonalStates, match=rf"^states {first[0]} and {first[1]} overlap"):
+                s.require_orthogonal()
 
 
 def _reference_is_clique(r: int, edges: set, vertices) -> bool:
@@ -324,7 +332,8 @@ def test_product_state_set_to_state_set(four_product_states):
     s = four_product_states.to_state_set()
     assert (s.dA, s.dB) == (2, 2)
     assert np.allclose(s.kets[2], np.kron(K1, (K0 + K1) / np.sqrt(2)))
-    assert s.orthogonality_defect() < 1e-12
+    kets = np.array(s.kets)
+    assert np.abs(np.triu(kets.conj() @ kets.T, 1)).max() < 1e-12
 
 
 def test_verify_product_protocol_accepts_the_witness(qutrit_sender_instance):

@@ -72,7 +72,8 @@ def test_state_set_file_max_entangled(tmp_path):
     assert sfile.kind == "max_entangled" and not sfile.is_product
     assert np.array_equal(sfile.unitaries[1], np.array(x, dtype=complex))
     states = sfile.state_set()
-    assert len(states) == 2 and states.orthogonality_defect() < 1e-12
+    kets = np.array(states.kets)
+    assert len(states) == 2 and np.abs(np.triu(kets.conj() @ kets.T, 1)).max() < 1e-12
 
 
 def test_state_set_file_pauli_labels(tmp_path):
