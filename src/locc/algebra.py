@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Decision, adjoint, require_orthogonal, require_unitaries
+from .core import DEFAULT_TOL, Decision, adjoint, require_unitaries
 from .errors import (
     DecompositionFailed,
     DimensionMismatch,
@@ -189,21 +189,7 @@ def build_operator_system(unitaries, tol: float = DEFAULT_TOL) -> OperatorSystem
     family is validated: its members must be unitary and its states mutually
     orthogonal (``NotOrthogonalStates`` otherwise).
     """
-    return _quotient_system(validated_unitaries(unitaries, tol))
-
-
-def validated_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The family stacked as ``(r, d, d)``, once it is unitary and its states are orthogonal.
-
-    This is the validation of :func:`build_operator_system` without the
-    span, for checks that need no ``S0``.
-    """
-    us = require_unitaries(unitaries, tol)
-    # tr(U_b^* U_a) is the Frobenius inner product of the vectorized
-    # unitaries, so all pairwise overlaps come from one Gram matrix
-    vecs = us.reshape(len(us), -1)
-    require_orthogonal(np.abs(np.conj(vecs) @ vecs.T) / us.shape[1], tol)
-    return us
+    return _quotient_system(require_unitaries(unitaries, tol))
 
 
 def _quotient_system(us: np.ndarray) -> OperatorSystem:
@@ -514,22 +500,13 @@ def decide_system(
 
 
 def _as_permutation(p, size: int | None = None) -> np.ndarray:
-    """Normalize a permutation given as an image list or a 0/1 matrix."""
-    arr = np.asarray(p)
-    if arr.ndim == 2:
-        d = arr.shape[0]
-        if arr.shape != (d, d) or np.max(np.abs(arr - np.round(arr.real))) > 1e-9:
-            raise NotPermutation("matrix is not a 0/1 permutation matrix")
-        arr = np.round(arr.real).astype(int)
-        if np.any((arr != 0) & (arr != 1)) or np.any(arr.sum(0) != 1) or np.any(arr.sum(1) != 1):
-            raise NotPermutation("matrix is not a 0/1 permutation matrix")
-        image = np.argmax(arr, axis=0)  # column i carries |sigma(i)><i|
-    elif arr.ndim == 1:
-        image = arr.astype(int)
-        if sorted(image.tolist()) != list(range(image.size)):
-            raise NotPermutation(f"{image.tolist()} is not a permutation of 0..{image.size - 1}")
-    else:
-        raise NotPermutation("expected an image list or a square matrix")
+    """A permutation's image list as an integer array (``image[i]`` is where ``i`` goes)."""
+    image = np.asarray(p)
+    if image.ndim != 1:
+        raise NotPermutation("expected an image list")
+    image = image.astype(int)
+    if sorted(image.tolist()) != list(range(image.size)):
+        raise NotPermutation(f"{image.tolist()} is not a permutation of 0..{image.size - 1}")
     if size is not None and image.size != size:
         raise DimensionMismatch("permutations must share a size")
     return image
@@ -539,7 +516,8 @@ def permutation_overlaps(perms) -> np.ndarray:
     """``|tr(P_b^* P_a)|/d`` for every pair: the share of points where two permutations agree.
 
     This is the overlap of their maximally entangled states, found from the
-    images alone.  Accepts image lists or permutation matrices.
+    image lists alone.  Agreements are counted one point at a time, so the
+    memory is ``O(r^2)`` rather than ``O(r^2 d)``.
     """
     images = []
     for p in perms:
@@ -547,16 +525,19 @@ def permutation_overlaps(perms) -> np.ndarray:
     if not images:
         raise DimensionMismatch("need at least one permutation")
     images = np.array(images)
-    return (images[:, None] == images[None]).sum(axis=2) / images.shape[1]
+    agree = np.zeros((len(images), len(images)), dtype=np.int64)
+    for point in images.T:
+        agree += point[:, None] == point[None]
+    return agree / images.shape[1]
 
 
 def check_permutation_states(perms) -> bool:
-    """Fast distinguishability test for permutation unitaries.
+    """Fast distinguishability test for permutation unitaries, given as image lists.
 
     The maximally entangled states built from permutation matrices are
     one-way distinguishable iff ``sigma_j^{-1} sigma_i`` is a derangement
     for every pair ``i != j`` -- equivalently, no two permutations agree at
-    any point.  Accepts image lists or permutation matrices.
+    any point.
     """
     return not np.triu(permutation_overlaps(perms), 1).any()
 

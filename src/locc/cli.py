@@ -23,11 +23,12 @@ import time
 import numpy as np
 
 from . import io
-from .algebra import check_permutation_states, decide_system, find_separating_vector, is_separating, permutation_overlaps, validated_unitaries
-from .core import DEFAULT_TOL, Decision, require_orthogonal
+from .algebra import decide_system, find_separating_vector, is_separating, permutation_overlaps
+from .core import DEFAULT_TOL, Decision, require_orthogonal, verify_witness_isometry, verify_witness_states
 from .errors import BadParams, LoccError
-from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover
+from .graphs import Graph, complement, decide_qubit_sender, extract_qubit_protocol, minimum_clique_cover, verify_product_protocol
 from .oracles import DEFAULT_SEED, simulate_one_way_protocol
+from .pauli import lattice_indistinguishable_set, logical_pauli_set
 
 EXIT_DISTINGUISHABLE = 0
 EXIT_INDISTINGUISHABLE = 1
@@ -99,11 +100,12 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, family, tol: float,
     """Run one criterion; return (decision | None, certificate, detail).
 
     ``family`` is the validated operator system of a unitary file, the
-    validated product set of a product file, or ``None`` for a permutations
-    file checked from its images.
+    validated product set of a product file, or the overlap matrix that
+    validated a permutations file checked from its images.
     """
     if name == "permutation":
-        if check_permutation_states(sfile.perms):
+        # exactly orthogonal, i.e. no two permutations agree at any point
+        if not np.triu(family, 1).any():
             d = len(sfile.perms[0])
             return Decision.DISTINGUISHABLE, _perm_certificate(d), "all permutation quotients are derangements"
         # two permutations agree at a point, so their states overlap by at
@@ -139,17 +141,15 @@ def _run_decide_criterion(name: str, sfile: io.StateSetFile, family, tol: float,
             f"block with m={m} > n={n} rules out a separating vector (blocks: {blocks})",
         )
 
-    if name == "qubit-sender":
-        verdict = decide_qubit_sender(family, tol)
-        if verdict.decision is Decision.DISTINGUISHABLE:
-            protocol = extract_qubit_protocol(family, verdict.certificate, tol)
-            cert = io.protocol_json(protocol)
-            cert["v1"] = sorted(verdict.certificate.v1)
-            cert["v2"] = sorted(verdict.certificate.v2)
-            return verdict.decision, cert, "two independent sets cover the instance"
-        return verdict.decision, None, "no two-clique sandwich cover exists (exhaustive search)"
-
-    raise BadParams(f"unknown criterion {name!r}")
+    # qubit-sender
+    verdict = decide_qubit_sender(family, tol)
+    if verdict.decision is Decision.DISTINGUISHABLE:
+        protocol = extract_qubit_protocol(family, verdict.certificate, tol)
+        cert = io.protocol_json(protocol)
+        cert["v1"] = sorted(verdict.certificate.v1)
+        cert["v2"] = sorted(verdict.certificate.v2)
+        return verdict.decision, cert, "two independent sets cover the instance"
+    return verdict.decision, None, "no two-clique sandwich cover exists (exhaustive search)"
 
 
 def cmd_decide(args) -> int:
@@ -174,8 +174,8 @@ def cmd_decide(args) -> int:
         family = sfile.product_set(tol)
         family.require_orthogonal(tol)
     elif sfile.kind == "permutations" and not {"schmidt", "algebra"} & set(chain):
-        family = None
-        require_orthogonal(permutation_overlaps(sfile.perms), tol)
+        family = permutation_overlaps(sfile.perms)
+        require_orthogonal(family, tol)
     else:
         family = sfile.operator_system(tol)
     if args.criterion != "auto":
@@ -224,8 +224,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .pauli import lattice_indistinguishable_set, logical_pauli_set
-
     if not (1 <= args.k <= args.n <= 6):
         raise BadParams(f"need 1 <= k <= n <= 6, got n={args.n}, k={args.k}")
     if args.family == "lattice":
@@ -246,20 +244,17 @@ def cmd_gen(args) -> int:
 
 
 def _verify(sfile: io.StateSetFile, pfile: io.ProtocolFile, tol: float) -> tuple[bool, str]:
-    from .core import verify_witness_isometry, verify_witness_states
-    from .graphs import verify_product_protocol
-
     kind = pfile.kind
     if kind != "one_way_protocol" and (kind == "product_protocol") != sfile.is_product:
         sfile.state_set(tol)  # a non-orthogonal family is reported first, as decide does
         raise BadParams(f"certificate kind {kind!r} does not apply to a {sfile.kind!r} state set")
 
     if kind == "witness_states":
-        ok = verify_witness_states(pfile.weighted_states, validated_unitaries(sfile.unitaries, tol), tol)
+        ok = verify_witness_states(pfile.weighted_states, sfile.unitaries, tol)
         return ok, "weighted states kill all off-diagonal quotients" if ok else "a quotient has a nonzero diagonal term"
 
     if kind == "witness_isometry":
-        ok = verify_witness_isometry(pfile.isometry, validated_unitaries(sfile.unitaries, tol), tol)
+        ok = verify_witness_isometry(pfile.isometry, sfile.unitaries, tol)
         return ok, "isometry kills all quotient diagonals" if ok else "a quotient diagonal does not vanish"
 
     if kind == "one_way_protocol":

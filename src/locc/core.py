@@ -62,53 +62,6 @@ def normalized(v: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return v / n
 
 
-def require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSquare(f"{what} must be square, got shape {m.shape}")
-    return m
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True if ``m.conj().T @ m`` is the identity within ``tol`` (max entry)."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(_unitarity_defects(m) <= tol * max(1.0, m.shape[0]))
-
-
-def _unitarity_defects(m: np.ndarray) -> np.ndarray:
-    """Max-entry distance of ``U^* U`` from the identity, over the last two axes."""
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-
-
-def require_unitary(m: np.ndarray, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    m = require_square(m, what)
-    if not is_unitary(m, tol):
-        raise NonUnitary(f"{what} is not unitary within tol={tol}")
-    return m
-
-
-def require_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A non-empty family of same-size unitaries, checked and stacked as ``(r, d, d)``.
-
-    Each member must pass :func:`is_unitary`; the whole family is tested in
-    one batched product.
-    """
-    us = [require_square(u, f"unitaries[{i}]") for i, u in enumerate(unitaries)]
-    if not us:
-        raise DimensionMismatch("need at least one unitary")
-    d = us[0].shape[0]
-    if any(u.shape != (d, d) for u in us):
-        raise DimensionMismatch("unitaries must share a dimension")
-    stack = np.array(us)
-    # `<=` as in is_unitary, so that a NaN defect fails
-    ok = _unitarity_defects(stack) <= tol * max(1.0, d)
-    if not ok.all():
-        raise NonUnitary(f"unitaries[{ok.argmin()}] is not unitary within tol={tol}")
-    return stack
-
-
 # ---------------------------------------------------------------------------
 # orthogonality: perfect discrimination needs mutually orthogonal states
 # ---------------------------------------------------------------------------
@@ -134,6 +87,35 @@ def require_orthogonal(overlaps: np.ndarray, tol: float, overlap: str = UNITARY_
         raise overlap_error(*divmod(int(bad.argmax()), len(bad)), overlap)
 
 
+def require_unitaries(unitaries, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A family of unitaries stacked as ``(r, d, d)``, once its states are mutually orthogonal.
+
+    This is the one check of a unitary family: the members must be square
+    and of one size, ``U^* U`` must be the identity within ``tol`` (max
+    entry, one batched product), and the states ``(I (x) U_a)|Phi>`` must
+    pass :func:`require_orthogonal`.
+    """
+    us = [np.asarray(u, dtype=complex) for u in unitaries]
+    if not us:
+        raise DimensionMismatch("need at least one unitary")
+    for i, u in enumerate(us):
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise NonSquare(f"unitaries[{i}] must be square, got shape {u.shape}")
+    d = us[0].shape[0]
+    if any(u.shape != (d, d) for u in us):
+        raise DimensionMismatch("unitaries must share a dimension")
+    stack = np.array(us)
+    defects = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(d)).max(axis=(1, 2))
+    ok = defects <= tol * max(1.0, d)  # a NaN defect fails
+    if not ok.all():
+        raise NonUnitary(f"unitaries[{ok.argmin()}] is not unitary within tol={tol}")
+    # tr(U_b^* U_a) is the Frobenius inner product of the vectorized
+    # unitaries, so all pairwise overlaps come from one Gram matrix
+    vecs = stack.reshape(len(stack), -1)
+    require_orthogonal(np.abs(np.conj(vecs) @ vecs.T) / d, tol)
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # maximally entangled states
 # ---------------------------------------------------------------------------
@@ -151,16 +133,20 @@ def max_entangled(u: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     u : (d, d) array
         Unitary applied on the second (Bob's) factor.
     tol : float
-        Tolerance for the unitarity check.
+        Tolerance for the unitarity check of :func:`require_unitaries`.
 
     Returns
     -------
     (d*d,) complex array, unit norm.
     """
-    u = require_unitary(u, tol, "state unitary")
-    d = u.shape[0]
+    return _max_entangled_kets(require_unitaries([u], tol))[0]
+
+
+def _max_entangled_kets(us: np.ndarray) -> np.ndarray:
+    """Rows ``(I (x) U_a)|Phi>`` of a ``(r, d, d)`` stack, in one reshape."""
+    r, d = us.shape[:2]
     # row-major composite index i*d + j pairs |i> with U|i> = sum_j U[j,i]|j>
-    return (u.T / np.sqrt(d)).ravel()
+    return us.swapaxes(1, 2).reshape(r, d * d) / np.sqrt(d)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +251,8 @@ def verify_witness_states(
     ------
     InvalidPovm
         If ``ws`` does not resolve the identity within ``tol``.
-    NonUnitary, DimensionMismatch
-        On malformed ``unitaries``.
+    NonSquare, NonUnitary, DimensionMismatch, NotOrthogonalStates
+        From :func:`require_unitaries`, which checks the family first.
     """
     us = require_unitaries(unitaries, tol)
     d = ws.dim
@@ -289,15 +275,16 @@ def verify_witness_isometry(w: np.ndarray, unitaries: list, tol: float = DEFAULT
     and squared column norms the weights of the equivalent
     :class:`WeightedStates` certificate.
 
-    Raises ``NotCoisometry`` if ``w @ w^*`` is not the identity.
+    The family is checked first, by :func:`require_unitaries`; then
+    ``NotCoisometry`` is raised if ``w @ w^*`` is not the identity.
     """
+    us = require_unitaries(unitaries, tol)
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2:
         raise DimensionMismatch("certificate must be a matrix")
     d = w.shape[0]
     if not np.abs(w @ adjoint(w) - np.eye(d)).max() <= tol * max(1.0, d):  # NaN fails
         raise NotCoisometry("w @ w^* != I within tol")
-    us = require_unitaries(unitaries, tol)
     if us.shape[1] != d:
         raise DimensionMismatch("unitary dimension does not match certificate")
     return _quotient_diagonals_vanish(w, us, tol)
@@ -350,10 +337,10 @@ class StateSet:
 
     @classmethod
     def from_unitaries(cls, unitaries, tol: float = DEFAULT_TOL) -> "StateSet":
-        """States ``(I (x) U_i)|Phi>`` on ``C^d (x) C^d``."""
+        """States ``(I (x) U_i)|Phi>`` on ``C^d (x) C^d``, once :func:`require_unitaries` passes."""
         us = require_unitaries(unitaries, tol)
         d = us.shape[1]
-        return cls(dA=d, dB=d, kets=tuple(max_entangled(u, tol) for u in us), kind="max_entangled")
+        return cls(dA=d, dB=d, kets=tuple(_max_entangled_kets(us)), kind="max_entangled")
 
     def __len__(self) -> int:
         return len(self.kets)

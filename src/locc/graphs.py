@@ -392,7 +392,7 @@ class ProductStateSet:
 
     alice: tuple
     bob: tuple
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_tol: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, pairs, tol: float = DEFAULT_TOL) -> "ProductStateSet":
@@ -424,9 +424,9 @@ class ProductStateSet:
         return len(self.alice)
 
     # each side's overlaps come from one Gram product per set, which every
-    # graph and the orthogonality check threshold; each graph is thresholded
-    # once per tol, so a decide and the checks of its certificate share it
-    # and its near-threshold warning is raised once
+    # graph and the orthogonality check threshold; each is thresholded once
+    # per tol, so a decide and the checks of its certificate share a graph
+    # and its near-threshold warning, and check orthogonality once
 
     @cached_property
     def alice_overlaps(self) -> np.ndarray:
@@ -437,18 +437,20 @@ class ProductStateSet:
         return _overlaps(self.bob)
 
     def graph_alice(self, tol: float = DEFAULT_TOL) -> Graph:
-        if ("A", tol) not in self._graphs:
-            self._graphs["A", tol] = _threshold(self.alice_overlaps, tol)
-        return self._graphs["A", tol]
+        if ("A", tol) not in self._by_tol:
+            self._by_tol["A", tol] = _threshold(self.alice_overlaps, tol)
+        return self._by_tol["A", tol]
 
     def graph_bob(self, tol: float = DEFAULT_TOL) -> Graph:
-        if ("B", tol) not in self._graphs:
-            self._graphs["B", tol] = _threshold(self.bob_overlaps, tol)
-        return self._graphs["B", tol]
+        if ("B", tol) not in self._by_tol:
+            self._by_tol["B", tol] = _threshold(self.bob_overlaps, tol)
+        return self._by_tol["B", tol]
 
     def require_orthogonal(self, tol: float = DEFAULT_TOL) -> None:
         """Raise ``NotOrthogonalStates`` naming the first pair of overlapping products."""
-        require_orthogonal(self.alice_overlaps * self.bob_overlaps, tol, PRODUCT_OVERLAP)
+        if ("orthogonal", tol) not in self._by_tol:
+            require_orthogonal(self.alice_overlaps * self.bob_overlaps, tol, PRODUCT_OVERLAP)
+            self._by_tol["orthogonal", tol] = True
 
     def to_state_set(self) -> StateSet:
         kets = tuple(kron_ket(a, b) for a, b in zip(self.alice, self.bob))

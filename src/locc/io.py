@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import build_operator_system, permutation_matrix, validated_unitaries
+from .algebra import build_operator_system, permutation_matrix
 from .core import DEFAULT_TOL, OneWayProtocol, Povm, StateSet, WeightedStates
 from .errors import FileFormatError
 from .graphs import CliqueCover, Graph, ProductStateSet
@@ -245,7 +245,7 @@ class StateSetFile:
             pset = self.product_set(tol)
             pset.require_orthogonal(tol)
             return pset.to_state_set()
-        return StateSet.from_unitaries(validated_unitaries(self.unitaries, tol), tol)
+        return StateSet.from_unitaries(self.unitaries, tol)
 
 
 def load_state_set_file(path: str) -> StateSetFile:

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import AlgebraDecomposition
-from .core import overlap_error, require_unitary
+from .core import overlap_error, require_unitaries
 from .errors import BadLabel, BadParams, DimensionMismatch, NotAnAlgebra
 
 I = np.eye(2, dtype=complex)
@@ -128,7 +128,7 @@ def to_dense(op: PauliOp) -> np.ndarray:
 
 def conjugate_by(u: np.ndarray, op: PauliOp, tol: float = 1e-9) -> np.ndarray:
     """Dense form of ``U P U^*`` for a unitary ``U`` (not a Pauli in general)."""
-    u = require_unitary(u, tol, "conjugating unitary")
+    u = require_unitaries([u], tol)[0]
     dense = to_dense(op)
     if u.shape[0] != dense.shape[0]:
         raise DimensionMismatch("unitary dimension does not match 2^n")

@@ -326,6 +326,48 @@ def test_each_command_builds_the_operator_system_once(tmp_path, capsys, monkeypa
         assert len(builds) == 1, argv
 
 
+_FAMILIES = {  # one orthogonal d = 2 family of each kind, with the criteria that apply to it
+    "max_entangled": ({"kind": "max_entangled", "d": 2, "unitaries": [io.matrix_json(m) for m in PAULIS[:2]]}, ["schmidt", "algebra"]),
+    "pauli_labels": ({"kind": "pauli_labels", "n": 1, "labels": ["I", "X"]}, ["schmidt", "algebra"]),
+    "permutations": ({"kind": "permutations", "d": 2, "perms": [[0, 1], [1, 0]]}, ["permutation", "schmidt", "algebra"]),
+    "product": ({"kind": "product", "dA": 2, "dB": 2, "states": [{"a": [1, 0], "b": [1, 0]}, {"a": [0, 1], "b": [1, 1]}]}, ["qubit-sender"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_each_command_checks_the_family_once(tmp_path, capsys, monkeypatch, kind):
+    calls = []
+    for module, name in ((core, "require_unitaries"), (core, "require_orthogonal"), (algebra, "permutation_overlaps")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for importer in (algebra, cli, core, graphs, io, pauli):
+            if getattr(importer, name, None) is original:
+                monkeypatch.setattr(importer, name, counted)
+    body, criteria = _FAMILIES[kind]
+    states, cert = str(tmp_path / "states.json"), str(tmp_path / "cert.json")
+    io.write_json(states, body)
+    for criterion in ["auto", *criteria]:
+        calls.clear()
+        assert cli.main(["decide", states, "--criterion", criterion]) in (0, 1, 2)
+        assert len(calls) == len(set(calls)), (criterion, calls)
+    certificates = {
+        "separating_vector": {"kind": "separating_vector", "vector": io.ket_json([1, 0])},
+        "refuting_block": {"kind": "refuting_block", "m": 2, "n": 1},
+        **_CERTIFICATES,
+    }
+    for cert_kind, cert_body in certificates.items():
+        io.write_json(cert, cert_body)
+        applies = cert_kind == "one_way_protocol" or (cert_kind == "product_protocol") == (kind == "product")
+        calls.clear()
+        assert (cli.main(["verify", states, cert]) == 4) is not applies, cert_kind
+        assert len(calls) == len(set(calls)), (cert_kind, calls)
+    capsys.readouterr()
+
+
 def _write_labels(path, labels):
     io.write_json(path, {"kind": "pauli_labels", "n": len(labels[0]), "labels": labels})
     return path

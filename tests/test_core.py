@@ -5,11 +5,11 @@ from locc.core import (
     OneWayProtocol,
     StateSet,
     WeightedStates,
-    is_unitary,
     isometry_to_weighted_states,
     max_entangled,
     normalized,
     require_orthogonal,
+    require_unitaries,
     validate_povm,
     verify_witness_isometry,
     verify_witness_states,
@@ -93,9 +93,10 @@ def test_normalized():
 
 
 def test_matrix_predicates():
-    assert is_unitary(X)
+    assert np.array_equal(require_unitaries([X]), [X])
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
-    assert not is_unitary(shear)
+    with pytest.raises(NonUnitary):
+        require_unitaries([shear])
 
 
 def test_validate_povm():
@@ -128,7 +129,10 @@ def test_verify_witness_states():
     assert verify_witness_states(basis, [I, Z]) is False
     with pytest.raises(InvalidPovm):
         verify_witness_states(WeightedStates([E0], [1.0]), [I, X])
+    shift = np.roll(np.eye(3), 1, axis=0)
     with pytest.raises(DimensionMismatch):
+        verify_witness_states(basis, [np.eye(3), shift])
+    with pytest.raises(NotOrthogonalStates):
         verify_witness_states(basis, [np.eye(3), np.eye(3)])
     with pytest.raises(NonUnitary):
         verify_witness_states(basis, [I, 2 * X])
